@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 
 use coldboot_bench::history;
 use coldboot_bench::report::Json;
-use coldboot_cluster::backend::BackendOptions;
 use coldboot_cluster::server::{ClusterConfig, ClusterServer};
 use coldboot_dumpio::format::DumpMeta;
 use coldboot_dumpio::json as wire_json;
@@ -111,10 +110,6 @@ fn run_scale(worker_count: usize, dump: &PathBuf) -> ScaleResult {
             .collect(),
     );
     config.shards = 1; // one shard per job: measure coordination, not splitting
-    config.backend = BackendOptions {
-        poll_interval: Duration::from_millis(2),
-        ..BackendOptions::default()
-    };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator");
     let cluster = ClusterServer::start(listener, config).expect("start coordinator");
     let addr = cluster.local_addr();
@@ -163,6 +158,15 @@ fn run_scale(worker_count: usize, dump: &PathBuf) -> ScaleResult {
                                 "bench job failed: {}",
                                 status.render_compact()
                             ),
+                            // The coordinator keeps only the newest 64
+                            // finished jobs, and only finished jobs are
+                            // forgotten; the failure count is checked
+                            // once the swarm is done.
+                            None if status.get("code").and_then(Json::as_str)
+                                == Some("unknown_job") =>
+                            {
+                                break
+                            }
                             _ => std::thread::sleep(Duration::from_millis(5)),
                         }
                     }
@@ -173,6 +177,11 @@ fn run_scale(worker_count: usize, dump: &PathBuf) -> ScaleResult {
     let elapsed = started.elapsed().as_secs_f64();
 
     let registry = cluster.metrics_registry();
+    assert_eq!(
+        registry.counter("cluster_jobs_done").get(),
+        JOBS as u64,
+        "every bench job must finish done"
+    );
     let wait = registry.latency_histogram("cluster_shard_queue_wait_us");
     let result = ScaleResult {
         workers: worker_count,

@@ -3,17 +3,28 @@
 //!
 //! One runner thread per configured worker address pulls shard tasks
 //! from a shared ready queue and drives the blocking line-protocol
-//! exchange with its `dumpd`: submit the shard, poll `status`, fetch
-//! `result`, and hand the partial to the job's [`Assembly`]. The
+//! exchange with its `dumpd`: submit the shard, block on `wait` until the
+//! worker's job is terminal (the reply carries the result), and hand the
+//! partial to the job's [`Assembly`]. Nothing polls: each `wait` asks for
+//! half of [`BackendOptions::io_timeout`], so a long but healthy shard
+//! answers `running` before the socket read could time out. The
 //! connection persists across tasks and reconnects on error.
+//!
+//! The job table keeps every running job and the newest
+//! [`RETAINED_JOBS`](coldboot_dumpio::service::RETAINED_JOBS) (64)
+//! finished ones; an older id answers `unknown_job`.
+//! A finished job's result is rendered once, by the runner whose delivery
+//! completed it, and every `result` reply splices that string in.
 //!
 //! Failure policy:
 //!
-//! * A **retryable** failure (connect refused, I/O error mid-poll, a
-//!   worker reply with `retryable: true` such as `queue_full`, or a shard
-//!   that the worker cancelled/timed out) re-queues the shard with
-//!   exponential backoff. Each shard carries an attempt counter; when it
-//!   exceeds [`BackendOptions::shard_attempts`] the whole job fails.
+//! * A **retryable** failure (connect refused, I/O error mid-wait, a
+//!   worker reply with `retryable: true` such as `queue_full`, a shard
+//!   that the worker cancelled/timed out, or a worker that no longer
+//!   holds the shard's job — `unknown_job` after it forgot the finished
+//!   job or restarted) re-queues the shard with exponential backoff.
+//!   Each shard carries an attempt counter; when it exceeds
+//!   [`BackendOptions::shard_attempts`] the whole job fails.
 //! * A **fatal** failure (the worker ran the shard and said `failed`, or
 //!   replied with a non-retryable error code such as `bad_request`) fails
 //!   the job immediately — retrying cannot change a deterministic answer.
@@ -29,7 +40,7 @@
 //! which keeps the per-worker state machine trivial. The single-threaded
 //! event loop in [`crate::server`] never touches a worker socket.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -40,6 +51,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use coldboot_dumpio::json::{self, Json};
+use coldboot_dumpio::service::{JobTable, MAX_WAIT_MS};
 use coldboot_dumpio::DumpReader;
 
 use crate::merge::{Assembly, JobSpec, ShardRequest, Step};
@@ -56,9 +68,8 @@ pub struct BackendOptions {
     pub evict_after: u32,
     /// Ping cadence for evicted workers.
     pub probe_interval: Duration,
-    /// Job-status poll cadence against a busy worker.
-    pub poll_interval: Duration,
-    /// Read timeout on worker sockets (bounds every blocking read).
+    /// Read timeout on worker sockets (bounds every blocking read). Each
+    /// `wait` asks the worker for half of it.
     pub io_timeout: Duration,
 }
 
@@ -69,7 +80,6 @@ impl Default for BackendOptions {
             retry_backoff: Duration::from_millis(50),
             evict_after: 3,
             probe_interval: Duration::from_millis(200),
-            poll_interval: Duration::from_millis(15),
             io_timeout: Duration::from_secs(2),
         }
     }
@@ -78,14 +88,14 @@ impl Default for BackendOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum JobState {
     Running,
-    Done,
+    /// Finished, with the merged result rendered compact once.
+    Done(Arc<str>),
     Failed(String),
 }
 
 struct Entry {
     state: JobState,
     assembly: Assembly,
-    result: Option<Json>,
 }
 
 struct Task {
@@ -101,7 +111,7 @@ struct Task {
 #[derive(Default)]
 struct SchedState {
     pending: VecDeque<Task>,
-    jobs: HashMap<u64, Entry>,
+    jobs: JobTable<Entry>,
     next_id: u64,
     unfinished: u64,
 }
@@ -167,38 +177,39 @@ impl Backend {
         let total_bytes = read_total_bytes(&spec.dump)?;
         let mut assembly = Assembly::new(spec, total_bytes);
         let step = assembly.begin();
+        if matches!(step, Step::Wait) {
+            return Err("planner returned no work".to_string());
+        }
         let metrics = &self.shared.metrics;
         let mut state = lock(&self.shared.state);
         let id = state.next_id;
         state.next_id += 1;
-        match step {
-            Step::Done(result) => {
-                state.jobs.insert(
-                    id,
-                    Entry {
-                        state: JobState::Done,
-                        assembly,
-                        result: Some(result),
-                    },
-                );
-                metrics.jobs_done.inc();
-            }
+        state.jobs.insert(
+            id,
+            Entry {
+                state: JobState::Running,
+                assembly,
+            },
+        );
+        state.unfinished += 1;
+        metrics.jobs_submitted.inc();
+        let forgotten = match step {
             Step::Dispatch(requests) => {
-                state.jobs.insert(
-                    id,
-                    Entry {
-                        state: JobState::Running,
-                        assembly,
-                        result: None,
-                    },
-                );
-                state.unfinished += 1;
                 enqueue(&mut state, metrics, id, requests);
                 self.shared.ready.notify_all();
+                None
             }
-            Step::Wait => return Err("planner returned no work".to_string()),
-        }
-        metrics.jobs_submitted.inc();
+            // An empty image: the plan is already the result.
+            Step::Done(result) => finish_job(
+                &mut state,
+                metrics,
+                id,
+                JobState::Done(result.render_compact().into()),
+            ),
+            Step::Wait => None,
+        };
+        drop(state);
+        drop(forgotten);
         Ok(id)
     }
 
@@ -206,7 +217,7 @@ impl Backend {
     #[must_use]
     pub fn status_json(&self, id: u64) -> Option<Json> {
         let state = lock(&self.shared.state);
-        let entry = state.jobs.get(&id)?;
+        let entry = state.jobs.get(id)?;
         let (done, total) = entry.assembly.progress();
         let mut pairs = vec![
             ("ok".to_string(), Json::Bool(true)),
@@ -228,11 +239,16 @@ impl Backend {
         Some(Json::Obj(pairs))
     }
 
-    /// The `result` reply body for a job, `None` for unknown ids.
+    /// The `result` reply body for a job, `None` for unknown ids. A done
+    /// job's rendered result is spliced in, never re-rendered.
     #[must_use]
     pub fn result_json(&self, id: u64) -> Option<Json> {
         let state = lock(&self.shared.state);
-        let entry = state.jobs.get(&id)?;
+        let entry = state.jobs.get(id)?;
+        let result = match &entry.state {
+            JobState::Done(rendered) => Json::Raw(Arc::clone(rendered)),
+            _ => Json::Null,
+        };
         let mut pairs = vec![
             ("ok".to_string(), Json::Bool(true)),
             ("id".to_string(), Json::Int(id as i64)),
@@ -240,10 +256,7 @@ impl Backend {
                 "state".to_string(),
                 Json::Str(state_name(&entry.state).to_string()),
             ),
-            (
-                "result".to_string(),
-                entry.result.clone().unwrap_or(Json::Null),
-            ),
+            ("result".to_string(), result),
         ];
         if let JobState::Failed(why) = &entry.state {
             pairs.push(("error".to_string(), Json::Str(why.clone())));
@@ -251,14 +264,16 @@ impl Backend {
         Some(Json::Obj(pairs))
     }
 
-    /// Whether a job id exists and has reached `done` or `failed`.
+    /// Whether a job is no longer running: it reached `done` or
+    /// `failed`, or the table has forgotten it (only finished jobs are
+    /// forgotten), or the id was never issued.
     #[must_use]
     pub fn is_terminal(&self, id: u64) -> bool {
         let state = lock(&self.shared.state);
         state
             .jobs
-            .get(&id)
-            .is_some_and(|e| e.state != JobState::Running)
+            .get(id)
+            .is_none_or(|e| e.state != JobState::Running)
     }
 
     /// Jobs submitted but not yet terminal — the drain condition.
@@ -282,7 +297,12 @@ impl Backend {
     /// Stops the runners and joins them. In-flight shards are abandoned;
     /// call only after draining (or when abandoning the jobs is intended).
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // Set under the scheduler lock, so a runner cannot check the flag
+        // and then miss the notification while it waits without a timeout.
+        {
+            let _state = lock(&self.shared.state);
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.ready.notify_all();
         let handles = std::mem::take(&mut *lock(&self.runners));
         for handle in handles {
@@ -295,7 +315,7 @@ impl Backend {
 fn state_name(state: &JobState) -> &'static str {
     match state {
         JobState::Running => "running",
-        JobState::Done => "done",
+        JobState::Done(_) => "done",
         JobState::Failed(_) => "failed",
     }
 }
@@ -327,14 +347,39 @@ fn enqueue(
     }
 }
 
-fn fail_job(state: &mut SchedState, metrics: &ClusterMetrics, job: u64, why: String) {
-    if let Some(entry) = state.jobs.get_mut(&job) {
-        if entry.state == JobState::Running {
-            entry.state = JobState::Failed(why);
-            metrics.jobs_failed.inc();
-            state.unfinished -= 1;
-        }
+/// A running job's one terminal transition: `done` or `failed`. A job
+/// that already ended is left as it is. Returns the entry the job table
+/// forgets to make room, for the caller to drop after releasing the
+/// scheduler lock.
+#[must_use]
+fn finish_job(
+    state: &mut SchedState,
+    metrics: &ClusterMetrics,
+    job: u64,
+    terminal: JobState,
+) -> Option<Entry> {
+    let entry = state.jobs.get_mut(job)?;
+    if entry.state != JobState::Running {
+        return None;
     }
+    match terminal {
+        JobState::Done(_) => metrics.jobs_done.inc(),
+        _ => metrics.jobs_failed.inc(),
+    }
+    entry.state = terminal;
+    state.unfinished -= 1;
+    state.jobs.retire(job)
+}
+
+/// Fails a running job; see [`finish_job`].
+fn fail_job(shared: &Shared, job: u64, why: String) {
+    let forgotten = finish_job(
+        &mut lock(&shared.state),
+        &shared.metrics,
+        job,
+        JobState::Failed(why),
+    );
+    drop(forgotten);
 }
 
 /// A persistent line-protocol connection to one worker.
@@ -439,50 +484,75 @@ fn run_worker_loop(shared: &Arc<Shared>, addr: &str) {
             }
             Outcome::Fatal(why) => {
                 consecutive = 0;
-                let mut state = lock(&shared.state);
-                fail_job(&mut state, metrics, task.job, why);
+                fail_job(shared, task.job, why);
             }
         }
     }
 }
 
-/// Pops the first ready task whose job is still running; blocks (with a
-/// bounded wait) until one appears or shutdown.
+/// What a runner does with the pending queue at `now`.
+#[derive(Debug, PartialEq, Eq)]
+enum Pick {
+    /// Take the task at this index: the first whose backoff has ended.
+    Ready(usize),
+    /// Nothing is ready yet; the earliest task is ready after this long.
+    Until(Duration),
+    /// Nothing is pending: wait for a notification.
+    Idle,
+}
+
+/// Decides [`Pick`] from the pending tasks' `ready_at`, in queue order.
+fn pick(ready_at: impl Iterator<Item = Instant>, now: Instant) -> Pick {
+    let mut earliest: Option<Instant> = None;
+    for (idx, at) in ready_at.enumerate() {
+        if at <= now {
+            return Pick::Ready(idx);
+        }
+        earliest = Some(earliest.map_or(at, |e| e.min(at)));
+    }
+    earliest.map_or(Pick::Idle, |at| Pick::Until(at - now))
+}
+
+/// Pops the first ready task whose job is still running; blocks until
+/// one appears (a backoff ends or a notification arrives) or shutdown.
 fn next_task(shared: &Arc<Shared>) -> Option<Task> {
     let mut state = lock(&shared.state);
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return None;
         }
-        let now = Instant::now();
-        let ready_idx = state
-            .pending
-            .iter()
-            .position(|t| t.ready_at <= now);
-        if let Some(idx) = ready_idx {
-            if let Some(task) = state.pending.remove(idx) {
-                shared.metrics.shard_queue_depth.sub(1);
-                let live = state
-                    .jobs
-                    .get(&task.job)
-                    .is_some_and(|e| e.state == JobState::Running);
-                if live {
-                    return Some(task);
+        let ready_at = state.pending.iter().map(|t| t.ready_at);
+        state = match pick(ready_at, Instant::now()) {
+            Pick::Ready(idx) => {
+                if let Some(task) = state.pending.remove(idx) {
+                    shared.metrics.shard_queue_depth.sub(1);
+                    let live = state
+                        .jobs
+                        .get(task.job)
+                        .is_some_and(|e| e.state == JobState::Running);
+                    if live {
+                        return Some(task);
+                    }
                 }
                 continue; // job already terminal: drop its stale shards
             }
-        }
-        // Sleep until notified, but wake periodically: a backoff delay
-        // expiring does not signal the condvar.
-        state = shared
-            .ready
-            .wait_timeout(state, Duration::from_millis(20))
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0;
+            Pick::Until(delay) => {
+                shared
+                    .ready
+                    .wait_timeout(state, delay)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .0
+            }
+            Pick::Idle => shared
+                .ready
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        };
     }
 }
 
-/// Drives one shard attempt against the worker: submit, poll, fetch.
+/// Drives one shard attempt against the worker: submit, then `wait`
+/// until the worker's job is terminal.
 fn run_shard(
     wire: &mut Option<Wire>,
     addr: &str,
@@ -509,42 +579,69 @@ fn run_shard(
     let Some(id) = reply.get("id").and_then(Json::as_i64) else {
         return Outcome::Retry("submit reply carried no job id".to_string());
     };
-    let status_line = format!("{{\"verb\":\"status\",\"id\":{id}}}\n");
+    let timeout_ms = u64::try_from((opts.io_timeout / 2).as_millis())
+        .unwrap_or(u64::MAX)
+        .min(MAX_WAIT_MS);
+    let wait_line = format!("{{\"verb\":\"wait\",\"id\":{id},\"timeout_ms\":{timeout_ms}}}\n");
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return Outcome::Retry("coordinator shutting down".to_string());
         }
-        thread::sleep(opts.poll_interval);
-        let status = match conn.roundtrip(&status_line) {
-            Ok(status) => status,
+        match conn.roundtrip(&wait_line) {
+            Ok(reply) => {
+                if let Some(outcome) = wait_outcome(reply, addr) {
+                    return outcome;
+                }
+            }
             Err(why) => return Outcome::Retry(why),
-        };
-        match status.get("state").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("queued" | "running") => continue,
-            Some("failed") => {
-                let why = status
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("worker reported failure");
-                return Outcome::Fatal(format!("worker {addr}: {why}"));
-            }
-            // A worker-side timeout or cancellation is not a verdict on
-            // the data — another attempt may succeed.
-            Some(other) => {
-                return Outcome::Retry(format!("worker job ended {other}"));
-            }
-            None => return Outcome::Retry("malformed status reply".to_string()),
         }
     }
-    let result_line = format!("{{\"verb\":\"result\",\"id\":{id}}}\n");
-    match conn.roundtrip(&result_line) {
-        Ok(reply) => match reply.get("result") {
-            Some(body) if *body != Json::Null => Outcome::Delivered(body.clone()),
-            _ => Outcome::Retry("done job returned no result body".to_string()),
-        },
-        Err(why) => Outcome::Retry(why),
+}
+
+/// Classifies a worker's `wait` reply for the runner's own shard: `None`
+/// while the worker's job is still queued or running.
+fn wait_outcome(reply: Json, addr: &str) -> Option<Outcome> {
+    if reply.get("ok").and_then(Json::as_bool) != Some(true) {
+        // The worker no longer holds the shard's job: it forgot the
+        // finished job or restarted. That is no verdict on the data.
+        if reply.get("code").and_then(Json::as_str) == Some("unknown_job") {
+            return Some(Outcome::Retry(format!(
+                "worker {addr} no longer holds the shard's job"
+            )));
+        }
+        return Some(reject_outcome(&reply));
     }
+    let outcome = match reply.get("state").and_then(Json::as_str) {
+        Some("queued" | "running") => return None,
+        Some("done") => match take_result(reply) {
+            Some(body) => Outcome::Delivered(body),
+            None => Outcome::Retry("done job returned no result body".to_string()),
+        },
+        Some("failed") => {
+            let why = reply
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("worker reported failure");
+            Outcome::Fatal(format!("worker {addr}: {why}"))
+        }
+        // A worker-side timeout or cancellation is not a verdict on the
+        // data — another attempt may succeed.
+        Some(other) => Outcome::Retry(format!("worker job ended {other}")),
+        None => Outcome::Retry("malformed wait reply".to_string()),
+    };
+    Some(outcome)
+}
+
+/// Moves a reply's non-null `result` body out, without copying it.
+fn take_result(reply: Json) -> Option<Json> {
+    let Json::Obj(pairs) = reply else {
+        return None;
+    };
+    pairs
+        .into_iter()
+        .find(|(name, _)| name == "result")
+        .map(|(_, body)| body)
+        .filter(|body| *body != Json::Null)
 }
 
 /// Classifies a worker's error reply via the uniform error schema.
@@ -567,7 +664,7 @@ fn deliver(shared: &Arc<Shared>, task: &Task, body: &Json) {
     let metrics = &shared.metrics;
     let mut state = lock(&shared.state);
     let merge_started = Instant::now();
-    let step = match state.jobs.get_mut(&task.job) {
+    let step = match state.jobs.get_mut(task.job) {
         Some(entry) if entry.state == JobState::Running => {
             entry.assembly.accept(&task.shard, body)
         }
@@ -584,14 +681,20 @@ fn deliver(shared: &Arc<Shared>, task: &Task, body: &Json) {
             shared.ready.notify_all();
         }
         Ok(Step::Done(result)) => {
-            if let Some(entry) = state.jobs.get_mut(&task.job) {
-                entry.result = Some(result);
-                entry.state = JobState::Done;
-                metrics.jobs_done.inc();
-                state.unfinished -= 1;
-            }
+            // Rendered once, off the scheduler lock: every `result` reply
+            // splices this string. Every shard of the job has been
+            // delivered, so nothing else moves the job meanwhile.
+            drop(state);
+            let rendered = JobState::Done(result.render_compact().into());
+            let forgotten = finish_job(&mut lock(&shared.state), metrics, task.job, rendered);
+            drop(forgotten);
         }
-        Err(why) => fail_job(&mut state, metrics, task.job, format!("merge: {why}")),
+        Err(why) => {
+            let failed = JobState::Failed(format!("merge: {why}"));
+            let forgotten = finish_job(&mut state, metrics, task.job, failed);
+            drop(state);
+            drop(forgotten);
+        }
     }
 }
 
@@ -602,10 +705,8 @@ fn requeue(shared: &Arc<Shared>, mut task: Task, why: String) {
     let metrics = &shared.metrics;
     task.attempts += 1;
     if task.attempts >= opts.shard_attempts {
-        let mut state = lock(&shared.state);
         fail_job(
-            &mut state,
-            metrics,
+            shared,
             task.job,
             format!(
                 "shard {}..{} failed after {} attempts: {why}",
@@ -632,5 +733,83 @@ fn ping(addr: &str, opts: &BackendOptions) -> bool {
             .map(|reply| reply.get("ok").and_then(Json::as_bool) == Some(true))
             .unwrap_or(false),
         Err(_) => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn reply(text: &str) -> Json {
+        json::parse(text).expect("valid json")
+    }
+
+    #[test]
+    fn pick_takes_the_first_ready_task_or_waits_for_the_earliest() {
+        let base = Instant::now();
+        let at = |ms: u64| base + Duration::from_millis(ms);
+        assert_eq!(pick(std::iter::empty(), base), Pick::Idle);
+        // Queue order, not readiness order, picks among ready tasks.
+        assert_eq!(
+            pick([at(5), at(0), at(0)].into_iter(), at(0)),
+            Pick::Ready(1)
+        );
+        assert_eq!(pick([at(5), at(0)].into_iter(), at(7)), Pick::Ready(0));
+        // Nothing ready: sleep exactly until the earliest backoff ends,
+        // wherever it sits in the queue.
+        assert_eq!(
+            pick([at(40), at(15), at(90)].into_iter(), at(10)),
+            Pick::Until(Duration::from_millis(5))
+        );
+        assert_eq!(pick([at(15)].into_iter(), at(15)), Pick::Ready(0));
+    }
+
+    #[test]
+    fn a_forgotten_shard_job_is_retried_not_failed() {
+        let outcome = wait_outcome(
+            reply(
+                r#"{"ok":false,"status":"error","code":"unknown_job","retryable":false,"error":"unknown job id"}"#,
+            ),
+            "w",
+        );
+        assert!(matches!(outcome, Some(Outcome::Retry(_))));
+        // Other fatal codes stay fatal.
+        let outcome = wait_outcome(
+            reply(
+                r#"{"ok":false,"status":"error","code":"bad_request","retryable":false,"error":"x"}"#,
+            ),
+            "w",
+        );
+        assert!(matches!(outcome, Some(Outcome::Fatal(_))));
+    }
+
+    #[test]
+    fn wait_replies_classify_by_state() {
+        let pending = r#"{"ok":true,"id":3,"state":"running","result":null}"#;
+        assert!(wait_outcome(reply(pending), "w").is_none());
+        let done = r#"{"ok":true,"id":3,"state":"done","result":{"kind":"mine_shard"}}"#;
+        match wait_outcome(reply(done), "w") {
+            Some(Outcome::Delivered(body)) => {
+                assert_eq!(body.render_compact(), r#"{"kind":"mine_shard"}"#);
+            }
+            _ => panic!("done reply not delivered"),
+        }
+        let empty = r#"{"ok":true,"id":3,"state":"done","result":null}"#;
+        assert!(matches!(
+            wait_outcome(reply(empty), "w"),
+            Some(Outcome::Retry(_))
+        ));
+        let failed = r#"{"ok":true,"id":3,"state":"failed","result":null,"error":"bad dump"}"#;
+        assert!(matches!(
+            wait_outcome(reply(failed), "w"),
+            Some(Outcome::Fatal(_))
+        ));
+        for retried in ["cancelled", "timed_out"] {
+            let text = format!(r#"{{"ok":true,"id":3,"state":"{retried}","result":null}}"#);
+            assert!(matches!(
+                wait_outcome(reply(&text), "w"),
+                Some(Outcome::Retry(_))
+            ));
+        }
     }
 }

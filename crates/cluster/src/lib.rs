@@ -16,7 +16,8 @@
 //!   partials concatenated in shard order.
 //! * [`backend`] — the worker pool. One runner thread per configured
 //!   `dumpd` address pulls shard tasks from a shared queue, drives the
-//!   line-protocol conversation (submit, poll, fetch), and reports back.
+//!   line-protocol conversation (submit, then block on `wait` until the
+//!   reply carries the result), and reports back.
 //!   Failures re-queue the shard with capped retries and exponential
 //!   backoff; workers that fail consecutively are evicted and probed with
 //!   pings until they rejoin. Retryable-vs-fatal is decided by the

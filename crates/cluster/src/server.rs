@@ -19,13 +19,17 @@
 //! Verbs mirror `dumpd` (`ping` / `submit` / `status` / `result` /
 //! `stats` / `shutdown`), with the same uniform error shape
 //! `{"ok":false,"status":"error","code":...,"retryable":...,"error":...}`.
+//! There is no `wait`: a blocking verb would stall every connection this
+//! one thread serves, so clients poll `status`. The job table keeps the
+//! newest 64 finished jobs; an older id answers `unknown_job`, and a
+//! forgotten job no longer counts against its connection's quota.
 //! Cluster-specific codes: `rate_limited` and `quota_exceeded` are
 //! retryable (back off and resend); `shutting_down` is retryable on
 //! another coordinator; `bad_request`, `unknown_verb`, `unknown_job`, and
 //! `malformed_request` stay fatal. A `shutdown` request starts a
 //! *drain*: new submits are refused but queued jobs run to completion and
-//! their results stay fetchable — [`ClusterServer::drained`] reports when
-//! the last one lands.
+//! their results stay fetchable (within the 64-job retention) —
+//! [`ClusterServer::drained`] reports when the last one lands.
 //!
 //! Worker sockets never appear here: the event loop talks only to the
 //! [`crate::Backend`] job table, so a stalled worker cannot stall a

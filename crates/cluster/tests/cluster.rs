@@ -181,9 +181,7 @@ fn fast_backend() -> BackendOptions {
         retry_backoff: Duration::from_millis(10),
         evict_after: 2,
         probe_interval: Duration::from_millis(50),
-        poll_interval: Duration::from_millis(10),
         io_timeout: Duration::from_millis(500),
-        ..BackendOptions::default()
     }
 }
 
@@ -543,5 +541,71 @@ fn graceful_drain_finishes_in_flight_shards() {
         assert!(Instant::now() < deadline, "drain never completed");
         std::thread::sleep(Duration::from_millis(20));
     }
+    cluster.shutdown();
+}
+
+/// Bounded job table: after 64 more jobs finish, the coordinator forgets
+/// a finished job (`unknown_job`), keeps the newest, and — with a quota of
+/// one open job — the forgotten job no longer holds its connection's slot.
+#[test]
+fn forgotten_jobs_answer_unknown_and_free_their_quota_slot() {
+    let mut image = vec![0u8; 64 << 10];
+    SplitMix64::new(5).fill(&mut image);
+    let file = write_image(
+        Vec::new(),
+        DumpMeta::for_image(0, image.len() as u64),
+        &image,
+    )
+    .expect("encode");
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cluster_evict.cbdf");
+    std::fs::write(&path, file).expect("write dump file");
+    let worker = start_worker();
+
+    let mut config = ClusterConfig::new(vec![worker.local_addr().to_string()]);
+    config.shards = 1;
+    config.max_open_jobs = 1;
+    config.backend = fast_backend();
+    let cluster = start_cluster(config);
+    let frequency = || {
+        vec![
+            ("kind", Json::Str("frequency".into())),
+            ("dump", path_str(&path)),
+            ("top_keys", Json::Int(4)),
+        ]
+    };
+    let by_id = |verb: &str, id: i64| {
+        Json::Obj(vec![
+            ("verb".to_string(), Json::Str(verb.into())),
+            ("id".to_string(), Json::Int(id)),
+        ])
+    };
+    let code = |reply: &Json| reply.get("code").and_then(Json::as_str).map(String::from);
+
+    // The first job's connection submits nothing more until it is gone.
+    let mut owner = Client::connect(cluster.local_addr());
+    let first = owner.submit_ok(frequency());
+    assert_eq!(owner.wait_terminal(first), "done");
+    let mut other = Client::connect(cluster.local_addr());
+    let mut last = 0;
+    for _ in 0..64 {
+        last = other.submit_ok(frequency());
+        assert_eq!(other.wait_terminal(last), "done");
+    }
+
+    assert_eq!(code(&owner.status(first)).as_deref(), Some("unknown_job"));
+    assert_eq!(
+        code(&owner.request(&by_id("result", first))).as_deref(),
+        Some("unknown_job")
+    );
+    let kept = owner.request(&by_id("result", last));
+    assert_eq!(kept.get("state").and_then(Json::as_str), Some("done"));
+    assert!(kept.get("result").and_then(|r| r.get("keys")).is_some());
+    let stats = owner.stats();
+    assert_eq!(counter(&stats, "cluster_jobs_submitted"), 65);
+    assert_eq!(counter(&stats, "cluster_jobs_done"), 65);
+
+    // The owner's quota slot was held by the forgotten job only.
+    let next = owner.submit_ok(frequency());
+    assert_eq!(owner.wait_terminal(next), "done");
     cluster.shutdown();
 }

@@ -8,6 +8,7 @@
 //!         [--ground GROUND.cbdf] [--decay-fraction F] [--work-budget N]
 //! dumpctl [--connect ADDR] status <ID>
 //! dumpctl [--connect ADDR] result <ID>
+//! dumpctl [--connect ADDR] wait <ID> [--timeout-ms N]
 //! dumpctl [--connect ADDR] cancel <ID>
 //! dumpctl [--connect ADDR] stats
 //! dumpctl [--connect ADDR] shutdown
@@ -15,17 +16,21 @@
 //!
 //! Works against a single `coldboot-dumpd` and against a `clusterd`
 //! coordinator alike — the protocols are the same (`--shards` only means
-//! something to a coordinator; a `dumpd` ignores it). Prints the server's
-//! JSON response (pretty-printed) and exits 0 when the response carries
-//! `"ok": true`. On a rejection, the uniform error schema's `code` and
-//! its retryable/fatal class are summarized on stderr so scripts (and
-//! operators) can tell "try again later" from "fix the request".
+//! something to a coordinator; a `dumpd` ignores it), except that only a
+//! `dumpd` answers `wait`, which blocks until the job is terminal or the
+//! timeout (default 60000 ms, the most a `dumpd` allows) passes. Prints
+//! the server's JSON response (pretty-printed) and exits 0 when the
+//! response carries `"ok": true`. On a rejection, the uniform error
+//! schema's `code` and its retryable/fatal class are summarized on stderr
+//! so scripts (and operators) can tell "try again later" from "fix the
+//! request".
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
 use coldboot_dumpio::json::{self, Json};
+use coldboot_dumpio::service::MAX_WAIT_MS;
 
 const DEFAULT_CONNECT: &str = "127.0.0.1:7311";
 
@@ -42,6 +47,7 @@ fn usage() -> ExitCode {
          \x20        (ground-state reconstruction: attack jobs only)\n\
          \x20 status <ID>\n\
          \x20 result <ID>\n\
+         \x20 wait <ID> [--timeout-ms N]   (dumpd only; default 60000)\n\
          \x20 cancel <ID>\n\
          \x20 stats\n\
          \x20 shutdown\n\
@@ -83,6 +89,22 @@ fn build_request(mut argv: impl Iterator<Item = String>) -> Result<(String, Json
             Json::obj([
                 ("verb", Json::Str(command.clone())),
                 ("id", Json::Int(id)),
+            ])
+        }
+        "wait" => {
+            let id = parse_id(argv.next())?;
+            let timeout_ms = match argv.next().as_deref() {
+                None => MAX_WAIT_MS as i64,
+                Some("--timeout-ms") => parse_id(argv.next())?,
+                Some(other) => {
+                    eprintln!("unknown flag: {other}");
+                    return Err(usage());
+                }
+            };
+            Json::obj([
+                ("verb", Json::Str(command.clone())),
+                ("id", Json::Int(id)),
+                ("timeout_ms", Json::Int(timeout_ms)),
             ])
         }
         "submit" => {
@@ -203,5 +225,31 @@ fn main() -> ExitCode {
         };
         eprintln!("dumpctl: rejected with code `{code}` ({class})");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(args: &[&str]) -> Option<String> {
+        build_request(args.iter().map(ToString::to_string))
+            .ok()
+            .map(|(_, request)| request.render_compact())
+    }
+
+    #[test]
+    fn wait_defaults_to_the_longest_timeout() {
+        assert_eq!(
+            request(&["wait", "7"]).as_deref(),
+            Some(r#"{"verb":"wait","id":7,"timeout_ms":60000}"#)
+        );
+        assert_eq!(
+            request(&["--connect", "h:1", "wait", "7", "--timeout-ms", "250"]).as_deref(),
+            Some(r#"{"verb":"wait","id":7,"timeout_ms":250}"#)
+        );
+        assert_eq!(request(&["wait"]), None);
+        assert_eq!(request(&["wait", "7", "--timeout-ms"]), None);
+        assert_eq!(request(&["wait", "7", "--deep"]), None);
     }
 }

@@ -7,11 +7,17 @@
 //! insertion order (deterministic output for diffing) and non-finite
 //! floats render as `null` (JSON has no NaN/Infinity).
 //!
+//! [`Json::Raw`] holds a document that is already rendered. A service keeps
+//! a large finished result as one shared string and splices it into every
+//! reply that carries it, instead of keeping a tree and rendering it again
+//! per fetch.
+//!
 //! Reports must contain **counts and rates only** — never key material or
 //! other image-derived bytes. The secret-hygiene lint treats any
 //! `key`-named value reaching a serializer as a finding.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Parser recursion limit: deep enough for any legitimate protocol
 /// message, shallow enough that hostile input cannot blow the stack.
@@ -34,6 +40,9 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order is preserved on render.
     Obj(Vec<(String, Json)>),
+    /// A complete document already rendered compact, written verbatim by
+    /// both renderers. The parser never produces it.
+    Raw(Arc<str>),
 }
 
 impl Json {
@@ -136,6 +145,7 @@ impl Json {
             }
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => write_escaped(out, s),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
                 out.push('[');
@@ -181,6 +191,7 @@ impl Json {
             }
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => write_escaped(out, s),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -501,6 +512,18 @@ mod tests {
         // A second render into the same buffer replaces, never appends.
         Json::Int(7).render_compact_into(&mut scratch);
         assert_eq!(scratch, "7");
+    }
+
+    #[test]
+    fn raw_documents_splice_verbatim() {
+        let body = Json::obj([("keys", Json::Arr(vec![Json::Str("a\"b".into())]))]);
+        let spliced = Json::obj([
+            ("ok", Json::Bool(true)),
+            ("result", Json::Raw(body.render_compact().into())),
+        ]);
+        let tree = Json::obj([("ok", Json::Bool(true)), ("result", body)]);
+        assert_eq!(spliced.render_compact(), tree.render_compact());
+        assert_eq!(parse(&spliced.render_compact()), Some(tree));
     }
 
     #[test]

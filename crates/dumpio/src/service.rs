@@ -23,6 +23,7 @@
 //! | `{"verb":"submit","kind":"attack"\|"mine"\|"frequency"\|"search_shard","dump":PATH,...}` | `{"ok":true,"id":N}` |
 //! | `{"verb":"status","id":N}` | `{"ok":true,"state":...,"blocks_done":N,"blocks_total":N}` |
 //! | `{"verb":"result","id":N}` | `{"ok":true,"state":...,"result":...}` |
+//! | `{"verb":"wait","id":N,"timeout_ms":T}` | what `result` returns once the job is terminal or `T` ms have passed |
 //! | `{"verb":"cancel","id":N}` | `{"ok":true,"state":...}` |
 //! | `{"verb":"stats"}` | `{"ok":true,"metrics":{...}}` |
 //! | `{"verb":"shutdown"}` | `{"ok":true}` |
@@ -36,6 +37,18 @@
 //! A job with a `timeout_secs` budget spends it from *submit* time: a job
 //! whose budget expires while still queued fails fast as `timed_out`
 //! without running.
+//!
+//! `wait` blocks the connection's own handler thread on the job until it
+//! is terminal or `timeout_ms` (required, `0..=60000`) passes, then
+//! replies exactly as `result` would: `state`, and `result` once `done`
+//! (`null` before). It is how a client learns of completion without
+//! polling `status`.
+//!
+//! The job table keeps the newest [`RETAINED_JOBS`] (64) terminal jobs.
+//! When one more job ends, the oldest finished one is forgotten and its
+//! id answers `unknown_job`; queued and running jobs are never forgotten.
+//! A finished job keeps its result rendered once, as one string that
+//! every `result` and `wait` reply splices in.
 //!
 //! ## Shard jobs (cluster protocol)
 //!
@@ -59,7 +72,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -85,8 +98,12 @@ use crate::wire::{self, hex_lower};
 /// Longest accepted request line; longer input drops the connection.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// How long blocked threads sleep before re-checking the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// Terminal jobs a job table keeps answering for, equal to the default
+/// `queue_limit`. The oldest finished job beyond this is forgotten.
+pub const RETAINED_JOBS: usize = 64;
+
+/// Longest `timeout_ms` a `wait` request may ask for.
+pub const MAX_WAIT_MS: u64 = 60_000;
 
 /// Sizing of the service: worker pool and queue bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,17 +164,24 @@ struct JobSpec {
 enum JobState {
     Queued,
     Running,
-    Done,
+    /// Finished, with the result document rendered compact once.
+    Done(Arc<str>),
     Failed(String),
     Cancelled,
     TimedOut,
+}
+
+impl JobState {
+    fn is_terminal(&self) -> bool {
+        !matches!(self, JobState::Queued | JobState::Running)
+    }
 }
 
 fn state_name(state: &JobState) -> &'static str {
     match state {
         JobState::Queued => "queued",
         JobState::Running => "running",
-        JobState::Done => "done",
+        JobState::Done(_) => "done",
         JobState::Failed(_) => "failed",
         JobState::Cancelled => "cancelled",
         JobState::TimedOut => "timed_out",
@@ -168,18 +192,69 @@ struct Job {
     id: u64,
     spec: JobSpec,
     state: Mutex<JobState>,
+    /// Signalled by the job's one terminal transition; `wait` blocks on it.
+    finished: Condvar,
     cancel: AtomicBool,
     blocks_done: AtomicU64,
     blocks_total: AtomicU64,
-    result: Mutex<Option<Json>>,
     /// When `submit` accepted the job; feeds the `queue_wait_us` histogram.
     enqueued_at: Instant,
+}
+
+/// A job table that keeps every queued and running job but only the
+/// newest [`RETAINED_JOBS`] finished ones.
+pub struct JobTable<V> {
+    entries: HashMap<u64, V>,
+    /// Ids of the finished jobs still held, oldest first.
+    finished: VecDeque<u64>,
+}
+
+impl<V> Default for JobTable<V> {
+    fn default() -> Self {
+        Self {
+            entries: HashMap::new(),
+            finished: VecDeque::new(),
+        }
+    }
+}
+
+impl<V> JobTable<V> {
+    /// Adds a job that has not finished yet.
+    pub fn insert(&mut self, id: u64, entry: V) {
+        self.entries.insert(id, entry);
+    }
+
+    /// The job's entry, `None` for an unknown or forgotten id.
+    pub fn get(&self, id: u64) -> Option<&V> {
+        self.entries.get(&id)
+    }
+
+    /// The job's entry, mutably.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut V> {
+        self.entries.get_mut(&id)
+    }
+
+    /// Records that job `id` has just finished; call once per job.
+    /// Returns the oldest finished entry when this pushes the table past
+    /// [`RETAINED_JOBS`], for the caller to drop once it has released the
+    /// table's lock.
+    #[must_use]
+    pub fn retire(&mut self, id: u64) -> Option<V> {
+        self.finished.push_back(id);
+        if self.finished.len() <= RETAINED_JOBS {
+            return None;
+        }
+        let oldest = self.finished.pop_front()?;
+        self.entries.remove(&oldest)
+    }
 }
 
 struct Shared {
     queue: Mutex<VecDeque<Arc<Job>>>,
     available: Condvar,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    /// Taken while a job's state lock is held (`finish`), so never hold
+    /// it while taking a job's state lock.
+    jobs: Mutex<JobTable<Arc<Job>>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     queue_limit: usize,
@@ -207,15 +282,13 @@ impl DumpService {
     ///
     /// # Errors
     ///
-    /// Fails when the listener cannot be made non-blocking or its local
-    /// address cannot be read.
+    /// Fails when the listener's local address cannot be read.
     pub fn start(listener: TcpListener, config: ServiceConfig) -> std::io::Result<Self> {
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             queue_limit: config.queue_limit,
@@ -268,6 +341,16 @@ impl DumpService {
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.available.notify_all();
+        // The acceptor blocks in `accept`; a connection of our own wakes
+        // it to see the flag.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         let _ = self.acceptor.join();
         for worker in self.workers {
             let _ = worker.join();
@@ -277,27 +360,17 @@ impl DumpService {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                // Connection handlers are detached: they notice shutdown
-                // through their read timeout and exit on their own.
-                let _ = thread::spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // lint:allow(blocking-in-event-loop): acceptor-only thread — each connection gets its own handler, so this idle accept-poll nap stalls no established connection
-                thread::sleep(POLL_INTERVAL);
-            }
-            // lint:allow(blocking-in-event-loop): same acceptor-only poll nap, transient-error path
-            Err(_) => thread::sleep(POLL_INTERVAL),
+        let accepted = listener.accept();
+        // After the flag is set, the next connection (the one
+        // `DumpService::shutdown` makes) only wakes this loop to stop.
+        if shared.shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        if let Ok((stream, _peer)) = accepted {
+            let shared = Arc::clone(shared);
+            // Connection handlers are detached: they notice shutdown
+            // through their read timeout and exit on their own.
+            let _ = thread::spawn(move || handle_connection(stream, &shared));
         }
     }
 }
@@ -386,9 +459,10 @@ fn dispatch(line: &str, shared: &Arc<Shared>) -> Json {
             Err(e) => e,
         },
         Some("result") => match find_job(&request, shared) {
-            Ok(job) => job_result(&job),
+            Ok(job) => result_reply(&job, &lock(&job.state)),
             Err(e) => e,
         },
+        Some("wait") => wait(&request, shared).unwrap_or_else(|e| e),
         Some("cancel") => match find_job(&request, shared) {
             Ok(job) => cancel_job(&job, shared),
             Err(e) => e,
@@ -542,10 +616,10 @@ fn submit(request: &Json, shared: &Arc<Shared>) -> Json {
         id,
         spec,
         state: Mutex::new(JobState::Queued),
+        finished: Condvar::new(),
         cancel: AtomicBool::new(false),
         blocks_done: AtomicU64::new(0),
         blocks_total: AtomicU64::new(0),
-        result: Mutex::new(None),
         enqueued_at: Instant::now(),
     });
     {
@@ -572,9 +646,31 @@ fn find_job(request: &Json, shared: &Arc<Shared>) -> Result<Arc<Job>, Json> {
         None => return Err(error_response("bad_request", "missing job id")),
     };
     lock(&shared.jobs)
-        .get(&id)
+        .get(id)
         .cloned()
         .ok_or_else(|| error_response("unknown_job", "unknown job id"))
+}
+
+/// The `wait` verb: blocks until the job is terminal or `timeout_ms`
+/// passes, then replies as `result` would. Only the job's own lock is
+/// involved, and the condvar releases it while waiting.
+fn wait(request: &Json, shared: &Arc<Shared>) -> Result<Json, Json> {
+    let timeout = match opt_u64(request, "timeout_ms")? {
+        Some(ms) if ms <= MAX_WAIT_MS => Duration::from_millis(ms),
+        _ => {
+            return Err(error_response(
+                "bad_request",
+                "timeout_ms must be an integer in 0..=60000",
+            ))
+        }
+    };
+    let job = find_job(request, shared)?;
+    let state = job
+        .finished
+        .wait_timeout_while(lock(&job.state), timeout, |state| !state.is_terminal())
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .0;
+    Ok(result_reply(&job, &state))
 }
 
 fn job_status(job: &Job) -> Json {
@@ -601,36 +697,53 @@ fn job_status(job: &Job) -> Json {
     Json::Obj(pairs)
 }
 
-fn job_result(job: &Job) -> Json {
-    let state = lock(&job.state);
-    let result = lock(&job.result).clone().unwrap_or(Json::Null);
+/// The `result` reply for `job` in `state`: the finished job's rendered
+/// document is spliced in, never re-rendered.
+fn result_reply(job: &Job, state: &JobState) -> Json {
+    let result = match state {
+        JobState::Done(rendered) => Json::Raw(Arc::clone(rendered)),
+        _ => Json::Null,
+    };
     let mut pairs = vec![
         ("ok".to_string(), Json::Bool(true)),
         ("id".to_string(), Json::Int(job.id as i64)),
         (
             "state".to_string(),
-            Json::Str(state_name(&state).to_string()),
+            Json::Str(state_name(state).to_string()),
         ),
         ("result".to_string(), result),
     ];
-    if let JobState::Failed(why) = &*state {
+    if let JobState::Failed(why) = state {
         pairs.push(("error".to_string(), Json::Str(why.clone())));
     }
     Json::Obj(pairs)
 }
 
+/// The job's one terminal transition: retires it from the job table,
+/// sets `terminal` and wakes its `wait` requests. The job is retired
+/// first, so a client that sees the terminal state also sees the table
+/// without the entry this job pushed out; that entry is dropped after
+/// both locks are released.
+fn finish(shared: &Shared, job: &Job, mut state: MutexGuard<'_, JobState>, terminal: JobState) {
+    let forgotten = lock(&shared.jobs).retire(job.id);
+    *state = terminal;
+    drop(state);
+    job.finished.notify_all();
+    drop(forgotten);
+}
+
 fn cancel_job(job: &Job, shared: &Shared) -> Json {
     job.cancel.store(true, Ordering::Relaxed);
-    {
-        let mut state = lock(&job.state);
-        // A job still in the queue will be skipped by the workers; mark it
-        // terminal right away. A running job stops at its next scan tick
-        // and is counted by the worker's outcome handling instead — so
-        // `jobs_cancelled` moves exactly once per cancelled job.
-        if matches!(*state, JobState::Queued) {
-            *state = JobState::Cancelled;
-            shared.metrics.jobs_cancelled.inc();
-        }
+    let state = lock(&job.state);
+    // A job still in the queue will be skipped by the workers; mark it
+    // terminal right away. A running job stops at its next scan tick
+    // and is counted by the worker's outcome handling instead — so
+    // `jobs_cancelled` moves exactly once per cancelled job.
+    if matches!(*state, JobState::Queued) {
+        shared.metrics.jobs_cancelled.inc();
+        finish(shared, job, state, JobState::Cancelled);
+    } else {
+        drop(state);
     }
     job_status(job)
 }
@@ -672,8 +785,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 .timeout_secs
                 .is_some_and(|secs| job.enqueued_at.elapsed() >= Duration::from_secs(secs))
             {
-                *state = JobState::TimedOut;
                 metrics.jobs_timed_out.inc();
+                finish(shared, &job, state, JobState::TimedOut);
                 continue;
             }
             *state = JobState::Running;
@@ -684,29 +797,30 @@ fn worker_loop(shared: &Arc<Shared>) {
         let run_started = Instant::now();
         let outcome = execute(&job, shared);
         metrics.job_run_us.observe(duration_us(run_started.elapsed()));
-        let mut state = lock(&job.state);
         // Each job reaches exactly one terminal arm, so each lifecycle
         // counter moves exactly once per job — the `stats` tests rely on
         // `jobs_timed_out` being 1 after one timed-out job.
-        match outcome {
+        let terminal = match outcome {
             Ok(result) => {
-                *lock(&job.result) = Some(result);
-                *state = JobState::Done;
                 metrics.jobs_done.inc();
+                // Rendered once, here: every `result` and `wait` reply
+                // splices this string.
+                JobState::Done(result.render_compact().into())
             }
             Err(PipelineError::Cancelled) => {
-                *state = JobState::Cancelled;
                 metrics.jobs_cancelled.inc();
+                JobState::Cancelled
             }
             Err(PipelineError::TimedOut) => {
-                *state = JobState::TimedOut;
                 metrics.jobs_timed_out.inc();
+                JobState::TimedOut
             }
             Err(e) => {
-                *state = JobState::Failed(e.to_string());
                 metrics.jobs_failed.inc();
+                JobState::Failed(e.to_string())
             }
-        }
+        };
+        finish(shared, &job, lock(&job.state), terminal);
     }
 }
 
@@ -1009,6 +1123,26 @@ mod tests {
         assert_eq!(spec.ground.as_deref(), Some("g"));
         assert_eq!(spec.decay_fraction, None);
         assert_eq!(spec.work_budget, None);
+    }
+
+    #[test]
+    fn job_tables_forget_only_the_oldest_finished_jobs() {
+        let mut table = JobTable::default();
+        let total = RETAINED_JOBS as u64 + 3;
+        for id in 1..=total {
+            table.insert(id, id * 10);
+        }
+        // Finish every job but the first, in order: the first stays
+        // because it never finished.
+        for id in 2..=RETAINED_JOBS as u64 + 1 {
+            assert_eq!(table.retire(id), None, "job {id}");
+        }
+        assert_eq!(table.retire(total - 1), Some(20));
+        assert_eq!(table.retire(total), Some(30));
+        assert!(table.get(2).is_none() && table.get(3).is_none());
+        assert_eq!(table.get(1), Some(&10));
+        assert_eq!(table.get(4), Some(&40));
+        assert_eq!(table.get(total), Some(&(total * 10)));
     }
 
     #[test]

@@ -745,3 +745,157 @@ fn slow_writers_are_buffered_across_read_timeouts() {
     );
     service.shutdown();
 }
+
+/// A 64 KiB CBDF of seeded bytes: a frequency job over it finishes in
+/// milliseconds.
+fn small_dump(name: &str) -> PathBuf {
+    let mut image = vec![0u8; 64 << 10];
+    SplitMix64::new(5).fill(&mut image);
+    let file = write_image(
+        Vec::new(),
+        DumpMeta::for_image(0, image.len() as u64),
+        &image,
+    )
+    .expect("encode");
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, file).expect("write dump file");
+    path
+}
+
+/// `{"verb":"wait","id":ID,"timeout_ms":MS}`.
+fn wait_request(id: i64, timeout_ms: i64) -> Json {
+    Json::obj([
+        ("verb", Json::Str("wait".into())),
+        ("id", Json::Int(id)),
+        ("timeout_ms", Json::Int(timeout_ms)),
+    ])
+}
+
+fn error_code(response: &Json) -> Option<&str> {
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+    response.get("code").and_then(Json::as_str)
+}
+
+#[test]
+fn wait_times_out_on_a_queued_job() {
+    let path = small_dump("svc_wait_queued.cbdf");
+    // No workers: the job can only stay queued.
+    let service = start_service(ServiceConfig {
+        workers: 0,
+        queue_limit: 2,
+    });
+    let mut client = Client::connect(&service);
+    let id = client.submit(vec![
+        ("kind", Json::Str("frequency".into())),
+        ("dump", Json::Str(path.to_string_lossy().into_owned())),
+    ]);
+    let started = Instant::now();
+    let reply = client.request(&wait_request(id, 300));
+    let elapsed = started.elapsed();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(reply.get("state").and_then(Json::as_str), Some("queued"));
+    assert_eq!(reply.get("result"), Some(&Json::Null));
+    assert!(
+        elapsed >= Duration::from_millis(300),
+        "returned early: {elapsed:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(800),
+        "returned late: {elapsed:?}"
+    );
+    service.shutdown();
+}
+
+#[test]
+fn wait_returns_the_result_as_soon_as_the_job_is_done() {
+    let path = small_dump("svc_wait_done.cbdf");
+    let service = start_service(ServiceConfig {
+        workers: 1,
+        queue_limit: 8,
+    });
+    let mut client = Client::connect(&service);
+    let id = client.submit(vec![
+        ("kind", Json::Str("frequency".into())),
+        ("dump", Json::Str(path.to_string_lossy().into_owned())),
+        ("top_keys", Json::Int(4)),
+    ]);
+    let started = Instant::now();
+    let waited = client.request(&wait_request(id, 60_000));
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "wait held on past completion: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(waited.get("state").and_then(Json::as_str), Some("done"));
+    let body = waited.get("result").expect("result body");
+    assert_eq!(body.get("kind").and_then(Json::as_str), Some("frequency"));
+    // The same reply `result` gives, byte for byte once rendered.
+    let fetched = client.result(id);
+    assert_eq!(fetched.render_compact(), waited.render_compact());
+
+    // Error paths: an unknown id, and every malformed timeout.
+    assert_eq!(
+        error_code(&client.request(&wait_request(999, 10))),
+        Some("unknown_job")
+    );
+    for bad in [
+        format!(r#"{{"verb":"wait","id":{id}}}"#),
+        format!(r#"{{"verb":"wait","id":{id},"timeout_ms":-1}}"#),
+        format!(r#"{{"verb":"wait","id":{id},"timeout_ms":60001}}"#),
+        format!(r#"{{"verb":"wait","id":{id},"timeout_ms":"10"}}"#),
+    ] {
+        assert_eq!(error_code(&client.raw(&bad)), Some("bad_request"), "{bad}");
+    }
+    service.shutdown();
+}
+
+#[test]
+fn the_table_forgets_the_oldest_of_65_finished_jobs() {
+    let path = small_dump("svc_evict.cbdf");
+    let service = start_service(ServiceConfig {
+        workers: 1,
+        queue_limit: 8,
+    });
+    let mut client = Client::connect(&service);
+    let mut ids = Vec::new();
+    for _ in 0..65 {
+        let id = client.submit(vec![
+            ("kind", Json::Str("frequency".into())),
+            ("dump", Json::Str(path.to_string_lossy().into_owned())),
+            ("top_keys", Json::Int(4)),
+        ]);
+        let waited = client.request(&wait_request(id, 60_000));
+        assert_eq!(waited.get("state").and_then(Json::as_str), Some("done"));
+        ids.push(id);
+    }
+    let (first, last) = (ids[0], ids[64]);
+    assert_eq!(error_code(&client.status(first)), Some("unknown_job"));
+    assert_eq!(error_code(&client.result(first)), Some("unknown_job"));
+    assert_eq!(
+        error_code(&client.request(&wait_request(first, 0))),
+        Some("unknown_job")
+    );
+    let kept = client.result(last);
+    assert_eq!(kept.get("state").and_then(Json::as_str), Some("done"));
+    assert!(kept.get("result").and_then(|r| r.get("keys")).is_some());
+    // Forgetting a job leaves the lifecycle counters alone.
+    let stats = client.stats();
+    assert_eq!(counter(&stats, "jobs_submitted"), 65);
+    assert_eq!(counter(&stats, "jobs_done"), 65);
+    service.shutdown();
+}
+
+#[test]
+fn shutdown_of_an_idle_service_is_prompt() {
+    let service = start_service(ServiceConfig {
+        workers: 2,
+        queue_limit: 8,
+    });
+    let started = Instant::now();
+    service.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+}

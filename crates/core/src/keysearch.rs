@@ -17,8 +17,8 @@
 use crate::dump::{xor_block, MemoryDump};
 use crate::litmus::CandidateKey;
 use crate::reconstruct::{
-    correct_schedule, residual_budget_pair, FlipCounts, ReconstructConfig, ReconstructTally,
-    ScheduleObservation,
+    correct_schedule, residual_budget_pair, Correction, FlipCounts, ReconstructConfig,
+    ReconstructTally, ScheduleObservation,
 };
 use crate::scan::{self, EngineMetrics, ScanOptions};
 use coldboot_crypto::aes::key_schedule::{expansion_step, rcon, KeySchedule};
@@ -31,7 +31,7 @@ use coldboot_crypto::hamming;
 use coldboot_dram::BLOCK_BYTES;
 use coldboot_metrics::{Counter, Histogram, MetricsRegistry, Span};
 use std::array::from_fn;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -143,6 +143,10 @@ pub struct SearchMetrics {
     /// Hits whose full-schedule verification failed
     /// (`search_verify_rejects`).
     pub verify_rejects: Arc<Counter>,
+    /// Hits that took the outcome of an earlier verification of the same
+    /// schedule span instead of running their own (`search_verify_reused`).
+    /// Only channel mode reuses; see [`StreamSearcher`].
+    pub verify_reused: Arc<Counter>,
     /// Verifications that produced a recovery, before overlap dedup
     /// (`search_recoveries`).
     pub recoveries: Arc<Counter>,
@@ -165,10 +169,11 @@ pub struct SearchMetrics {
     /// Observation bits flipped back by accepted corrections
     /// (`search_corrected_bits`).
     pub corrected_bits: Arc<Counter>,
-    /// Per-hit reconstruction verification latency in microseconds
-    /// (`search_reconstruct_us`), observed on the verify workers: hits
-    /// verify in parallel, so a job's sum of samples can exceed its wall
-    /// time.
+    /// Reconstruction verification latency in microseconds
+    /// (`search_reconstruct_us`), one sample per verification run, so
+    /// `count() + verify_reused == hits` with reconstruction on. Observed
+    /// on the verify workers: spans verify in parallel, so a job's sum of
+    /// samples can exceed its wall time.
     pub reconstruct_us: Arc<Histogram>,
     /// Scan-engine counters for the block sweep (`search_scan_*`);
     /// `search_scan_items` counts swept blocks only.
@@ -182,6 +187,7 @@ impl Default for SearchMetrics {
             reused_blocks: Arc::default(),
             hits: Arc::default(),
             verify_rejects: Arc::default(),
+            verify_reused: Arc::default(),
             recoveries: Arc::default(),
             decayed_bits: Arc::default(),
             anti_ground_bits: Arc::default(),
@@ -202,6 +208,7 @@ impl SearchMetrics {
             reused_blocks: registry.counter("search_reused_blocks"),
             hits: registry.counter("search_hits"),
             verify_rejects: registry.counter("search_verify_rejects"),
+            verify_reused: registry.counter("search_verify_reused"),
             recoveries: registry.counter("search_recoveries"),
             decayed_bits: registry.counter("search_decayed_bits"),
             anti_ground_bits: registry.counter("search_anti_ground_bits"),
@@ -230,6 +237,16 @@ pub struct ScheduleHit {
     pub start_word: usize,
     /// Hamming distance of the in-block prediction check.
     pub prediction_distance: u32,
+}
+
+impl ScheduleHit {
+    /// Physical address where the hit's schedule starts: the window's
+    /// address minus `start_word` words. `None` when that would fall
+    /// below address 0.
+    pub fn schedule_addr(&self) -> Option<u64> {
+        let window_addr = self.block_addr + self.window_offset as u64;
+        window_addr.checked_sub(self.start_word as u64 * 4)
+    }
 }
 
 /// A fully recovered AES key.
@@ -538,6 +555,11 @@ pub fn verify_and_recover(
 /// [`verify_and_recover`] with an explicit work tally: branch-and-bound
 /// counters accumulate into `tally` when `config.reconstruct` is enabled
 /// (the tally is untouched otherwise).
+///
+/// With `config.reconstruct` enabled the outcome depends on the hit only
+/// through its span, `(schedule_addr(), key_size)`, apart from the `hit`
+/// field it is returned with; without it, the schedule is rebuilt from
+/// the hit's own window, so two hits on one span can verify differently.
 pub fn verify_and_recover_with(
     dump: &MemoryDump,
     candidates: &[CandidateKey],
@@ -546,7 +568,23 @@ pub fn verify_and_recover_with(
     tally: &mut ReconstructTally,
 ) -> Option<RecoveredAesKey> {
     if let Some(rc) = &config.reconstruct {
-        return verify_channel(dump, candidates, hit, config, rc, tally);
+        let size = hit.key_size;
+        let schedule_addr = hit.schedule_addr()?;
+        let (unexplained, fin) =
+            verify_channel(dump, candidates, schedule_addr, size, config, rc, tally)?;
+        return Some(RecoveredAesKey {
+            key_size: size,
+            master_key: fin.schedule[..size.nk()]
+                .iter()
+                .flat_map(|w| w.to_be_bytes())
+                .collect(),
+            schedule_addr,
+            total_error_bits: fin.flips.total(),
+            unexplained_blocks: unexplained,
+            cost_millinats: Some(fin.cost_millinats),
+            flips: Some(fin.flips),
+            hit: hit.clone(),
+        });
     }
     let size = hit.key_size;
     let block_idx = dump.block_index_of(hit.block_addr)?;
@@ -559,9 +597,7 @@ pub fn verify_and_recover_with(
     let schedule = KeySchedule::reconstruct(size, &window, hit.start_word)?;
     let predicted = schedule.to_bytes();
 
-    // Physical address where the schedule starts.
-    let window_addr = hit.block_addr + hit.window_offset as u64;
-    let schedule_addr = window_addr.checked_sub(hit.start_word as u64 * 4)?;
+    let schedule_addr = hit.schedule_addr()?;
     let len = size.schedule_len();
     // The whole schedule must lie inside the dump.
     dump.slice_at(schedule_addr, len)?;
@@ -579,10 +615,11 @@ pub fn verify_and_recover_with(
     while cursor < end {
         let block_base = cursor & !(BLOCK_BYTES as u64 - 1);
         let in_block = (cursor - block_base) as usize;
-        let take = ((end - cursor) as usize).min(BLOCK_BYTES - in_block);
+        let at = (cursor - schedule_addr) as usize;
+        let take = (len - at).min(BLOCK_BYTES - in_block);
         let idx = dump.block_index_of(block_base)?;
         let raw = dump.block(idx);
-        let pred_slice = &predicted[(cursor - schedule_addr) as usize..][..take];
+        let pred_slice = &predicted[at..][..take];
         let mut best: Option<(u32, [u8; BLOCK_BYTES])> = None;
         for cand in candidates {
             let des = xor_block(raw, &cand.key);
@@ -602,10 +639,9 @@ pub fn verify_and_recover_with(
             }
             // Neutral fill so the noisy-recovery pass below is not poisoned
             // by a block we know we cannot descramble.
-            observed[(cursor - schedule_addr) as usize..][..take].copy_from_slice(pred_slice);
+            observed[at..][..take].copy_from_slice(pred_slice);
         } else {
-            observed[(cursor - schedule_addr) as usize..][..take]
-                .copy_from_slice(&des[in_block..in_block + take]);
+            observed[at..][..take].copy_from_slice(&des[in_block..in_block + take]);
             total_error += dist;
         }
         cursor = block_base + BLOCK_BYTES as u64;
@@ -681,19 +717,22 @@ fn be_word(block: &[u8; BLOCK_BYTES], j: usize) -> u32 {
 ///    a residual check pick their candidate by channel cost against the
 ///    stage-2 prediction; if any joins the counted set the corrector
 ///    re-runs and the budget gate applies to the final cost.
+///
+/// It reads `dump` only inside `[schedule_addr, schedule_addr +
+/// size.schedule_len())` and sees no hit, so its outcome (the
+/// unexplained-block count and the accepted correction) is a function of
+/// the span, given the candidates and the configuration.
 fn verify_channel(
     dump: &MemoryDump,
     candidates: &[CandidateKey],
-    hit: &ScheduleHit,
+    schedule_addr: u64,
+    size: KeySize,
     config: &SearchConfig,
     rc: &ReconstructConfig,
     tally: &mut ReconstructTally,
-) -> Option<RecoveredAesKey> {
-    let size = hit.key_size;
+) -> Option<(u32, Correction)> {
     let nk = size.nk();
     let total = size.schedule_words();
-    let window_addr = hit.block_addr + hit.window_offset as u64;
-    let schedule_addr = window_addr.checked_sub(hit.start_word as u64 * 4)?;
     let len = size.schedule_len();
     dump.slice_at(schedule_addr, len)?;
 
@@ -834,21 +873,7 @@ fn verify_channel(
             return None;
         }
     }
-
-    let master_key: Vec<u8> = fin.schedule[..nk]
-        .iter()
-        .flat_map(|w| w.to_be_bytes())
-        .collect();
-    Some(RecoveredAesKey {
-        key_size: size,
-        master_key,
-        schedule_addr,
-        total_error_bits: fin.flips.total(),
-        unexplained_blocks: unexplained,
-        cost_millinats: Some(fin.cost_millinats),
-        flips: Some(fin.flips),
-        hit: hit.clone(),
-    })
+    Some((unexplained, fin))
 }
 
 /// Merges one verified recovery into the deduplicated result set.
@@ -916,6 +941,15 @@ pub const SCHEDULE_CONTEXT_BLOCKS: usize = 4;
 /// zero and constant fill mining learned the keys from — recur all over a
 /// dump, so each such content is swept once per search and every repeat
 /// copies its hits.
+///
+/// In channel mode a hit's verification depends only on its schedule span,
+/// `(schedule_addr(), key_size)` (see [`verify_and_recover_with`]), and
+/// many hits share a span: the blocks of one schedule, and that schedule
+/// shifted by whole round-key pairs. Each span is verified once per
+/// search; later hits on it take the stored outcome with their own hit
+/// attached (`search_verify_reused`). The span of every ready hit lies in
+/// the retained tail, so the stored outcome is the one the hit's own run
+/// would produce.
 pub struct StreamSearcher {
     candidates: Vec<CandidateKey>,
     key_words: Vec<[u32; BLOCK_BYTES / 4]>,
@@ -939,6 +973,10 @@ pub struct StreamSearcher {
     started: bool,
     /// Hits (in global block order) awaiting right-hand context.
     pending: VecDeque<ScheduleHit>,
+    /// Channel mode: the outcome of each verified span, keyed by
+    /// `(schedule_addr, key_size)`, with the span's first hit attached.
+    /// Kept across pushes; `trim` drops spans below the retained tail.
+    spans: HashMap<(u64, KeySize), Option<RecoveredAesKey>>,
     hits: Vec<ScheduleHit>,
     recovered: Vec<RecoveredAesKey>,
     /// Every successful verification in order, before dedup — the shard
@@ -981,6 +1019,7 @@ impl StreamSearcher {
             end_addr: 0,
             started: false,
             pending: VecDeque::new(),
+            spans: HashMap::new(),
             hits: Vec::new(),
             recovered: Vec::new(),
             raw_recoveries: Vec::new(),
@@ -1124,12 +1163,15 @@ impl StreamSearcher {
     /// oldest ones up to the first that still lacks it (readiness is
     /// monotone in block address, so everything behind it waits too).
     ///
-    /// The ready hits are verified in parallel on the scan engine, one hit
-    /// per batch. Verification is a pure function of (view, candidates,
-    /// hit, config) with a tally per hit, and `scan_collect` returns
-    /// results in hit order, so the serial fold below — counters, raw
-    /// recoveries and the order-sensitive dedup — sees exactly what a
-    /// one-thread loop would.
+    /// The ready hits that need a run are verified in parallel on the scan
+    /// engine, one hit per batch: every hit in raw mode; in channel mode
+    /// the first hit of each span not verified before, plus any hit
+    /// without a span. Verification is a pure function of (view,
+    /// candidates, hit, config) with a tally per run, `scan_collect`
+    /// returns results in hit order, and a hit that reuses gets what its
+    /// own run would return, so the serial fold below — counters, raw
+    /// recoveries and the order-sensitive dedup, once per hit — sees
+    /// exactly what a one-thread loop verifying every hit would.
     fn verify_ready(&mut self, view: &MemoryDump, at_end: bool) {
         let ctx = (SCHEDULE_CONTEXT_BLOCKS * BLOCK_BYTES) as u64;
         let ready = self
@@ -1139,6 +1181,17 @@ impl StreamSearcher {
             .count();
         let hits: Vec<ScheduleHit> = self.pending.drain(..ready).collect();
         let reconstructing = self.config.reconstruct.is_some();
+        let span_of = |h: &ScheduleHit| {
+            h.schedule_addr()
+                .filter(|_| reconstructing)
+                .map(|addr| (addr, h.key_size))
+        };
+        let mut queued = HashSet::new();
+        let runs: Vec<usize> = (0..hits.len())
+            .filter(|&k| {
+                span_of(&hits[k]).is_none_or(|s| !self.spans.contains_key(&s) && queued.insert(s))
+            })
+            .collect();
         // Times only the reconstruction path: the histogram stays empty
         // (and the off path byte-identical) otherwise. The engine counters
         // stay off, so `search_scan_items` counts swept blocks only.
@@ -1149,21 +1202,43 @@ impl StreamSearcher {
             .map(|m| m.reconstruct_us.as_ref());
         let (candidates, config) = (&self.candidates, &self.config);
         let opts = ScanOptions::with_threads(config.threads).batch_items(1);
-        let verified = scan::scan_collect(hits.len(), &opts, |k, out| {
+        let verified = scan::scan_collect(runs.len(), &opts, |n, out| {
             let mut tally = ReconstructTally::default();
             let outcome = {
                 let _span = Span::start(latency);
-                verify_and_recover_with(view, candidates, &hits[k], config, &mut tally)
+                verify_and_recover_with(view, candidates, &hits[runs[n]], config, &mut tally)
             };
             out.push((outcome, tally));
         });
-        for (outcome, tally) in verified {
-            if let Some(metrics) = &self.metrics {
-                if reconstructing {
-                    metrics.reconstruct_expanded.add(tally.expanded);
-                    metrics.reconstruct_pruned.add(tally.pruned);
+        let mut verified = runs.into_iter().zip(verified).peekable();
+        for (k, hit) in hits.iter().enumerate() {
+            let outcome = match verified.next_if(|&(run, _)| run == k) {
+                Some((_, (outcome, tally))) => {
+                    if let Some(metrics) = &self.metrics {
+                        if reconstructing {
+                            metrics.reconstruct_expanded.add(tally.expanded);
+                            metrics.reconstruct_pruned.add(tally.pruned);
+                            if outcome.is_some() {
+                                metrics.corrected_bits.add(tally.corrected_bits);
+                            }
+                        }
+                    }
+                    if let Some(span) = span_of(hit) {
+                        self.spans.insert(span, outcome.clone());
+                    }
+                    outcome
                 }
-            }
+                None => {
+                    if let Some(metrics) = &self.metrics {
+                        metrics.verify_reused.inc();
+                    }
+                    let stored = span_of(hit).and_then(|s| self.spans.get(&s));
+                    stored.cloned().flatten().map(|rec| RecoveredAesKey {
+                        hit: hit.clone(),
+                        ..rec
+                    })
+                }
+            };
             match outcome {
                 Some(rec) => {
                     if let Some(metrics) = &self.metrics {
@@ -1175,7 +1250,6 @@ impl StreamSearcher {
                             Some(flips) => {
                                 metrics.decayed_bits.add(u64::from(flips.to_ground));
                                 metrics.anti_ground_bits.add(u64::from(flips.anti_ground));
-                                metrics.corrected_bits.add(tally.corrected_bits);
                             }
                             None => {
                                 metrics.decayed_bits.add(u64::from(rec.total_error_bits));
@@ -1196,7 +1270,11 @@ impl StreamSearcher {
 
     /// Drops the part of the retained tail no verification can reach: both
     /// the oldest pending hit and any hit the *next* window produces need at
-    /// most [`SCHEDULE_CONTEXT_BLOCKS`] blocks behind them.
+    /// most [`SCHEDULE_CONTEXT_BLOCKS`] blocks behind them. Stored spans
+    /// below the new base go too: a later hit's span starts at most 192
+    /// bytes before its block, so it can only start there if it starts
+    /// before the stream's first byte, and such a span fails verification
+    /// at once however often it runs.
     fn trim(&mut self) {
         let ctx = (SCHEDULE_CONTEXT_BLOCKS * BLOCK_BYTES) as u64;
         let tail_floor = self.end_addr.saturating_sub(ctx);
@@ -1212,6 +1290,8 @@ impl StreamSearcher {
             self.buf.drain(..drop);
             self.buf_base = keep_from;
         }
+        let base = self.buf_base;
+        self.spans.retain(|&(addr, _), _| addr >= base);
     }
 
     /// Verifies the remaining pending hits against the end of the image and
@@ -2266,6 +2346,18 @@ mod tests {
         window_blocks: usize,
         metrics: &Arc<SearchMetrics>,
     ) -> SearchOutcome {
+        stream_fed(dump, candidates, config, window_blocks, metrics).finish()
+    }
+
+    /// A searcher that has been pushed all of `dump` in windows of
+    /// `window_blocks` blocks, not yet finished.
+    fn stream_fed(
+        dump: &MemoryDump,
+        candidates: &[CandidateKey],
+        config: &SearchConfig,
+        window_blocks: usize,
+        metrics: &Arc<SearchMetrics>,
+    ) -> StreamSearcher {
         let mut s = StreamSearcher::new(candidates, config).with_metrics(Arc::clone(metrics));
         let mut i = 0;
         while i < dump.len_blocks() {
@@ -2277,7 +2369,7 @@ mod tests {
             s.push(&w);
             i += take;
         }
-        s.finish()
+        s
     }
 
     /// An AES-256 and an AES-128 schedule among runs of zero fill,
@@ -2427,6 +2519,7 @@ mod tests {
             metrics.recoveries.get() + metrics.verify_rejects.get(),
             "every hit is verified exactly once"
         );
+        assert_eq!(metrics.verify_reused.get(), 0, "raw mode runs every hit");
         // Every region block is either swept by the engine or reuses an
         // earlier block's hits.
         assert!(metrics.reused_blocks.get() > 0);
@@ -2942,7 +3035,12 @@ mod tests {
                     metrics.blocks.get(),
                     "{at}: verification must not count as swept blocks"
                 );
-                assert_eq!(metrics.reconstruct_us.count(), metrics.hits.get(), "{at}");
+                assert_eq!(
+                    metrics.reconstruct_us.count() + metrics.verify_reused.get(),
+                    metrics.hits.get(),
+                    "{at}: one run per span, every other hit reuses"
+                );
+                assert!(metrics.verify_reused.get() > 0, "{at}");
                 let tally = (
                     metrics.reconstruct_expanded.get(),
                     metrics.reconstruct_pruned.get(),
@@ -2955,6 +3053,137 @@ mod tests {
         let (expanded, _, corrected, rejects) = first_tally.unwrap();
         assert!(expanded > 0 && corrected > 0, "the corrector must have run");
         assert!(rejects > 0, "decayed zero fill must yield rejected hits");
+    }
+
+    /// Seeded channel-mode input: an unaligned AES-256 schedule with
+    /// decayed zero fill on the filler blocks before and after it, and
+    /// the search configuration for decay `d`. Returns the dump, the
+    /// candidates, the configuration and the planted key.
+    fn decayed_fill_case(
+        case: u64,
+        d: f64,
+    ) -> (MemoryDump, Vec<CandidateKey>, SearchConfig, [u8; 32]) {
+        use coldboot_dram::retention::BitChannel;
+        let mut rng = SplitMix64::new(case);
+        let master: [u8; 32] = rng.bytes();
+        let pre = 64 * 3 + 4 * rng.range(0..16) as usize;
+        let keys = test_keys();
+        let (dump, candidates) = build_dump(pre, &master, &keys);
+        let mut image = dump.bytes().to_vec();
+        let n = dump.len_blocks();
+        zero_fill(&mut image, &keys, [0, 1, n - 2, n - 1]);
+        let (dump, ground) = decay_toward_ground(&MemoryDump::new(image, 0), d, rng.next_u64());
+        let config = SearchConfig {
+            reconstruct: Some(ReconstructConfig::new(
+                BitChannel::from_decay_fraction(d),
+                ground,
+            )),
+            ..SearchConfig::default()
+        };
+        (dump, candidates, config, master)
+    }
+
+    /// Verifying each channel span once is exact: at several decay levels,
+    /// thread counts 1–3 and window sizes 1/7/512, the deduplicated and the raw
+    /// recoveries equal a replay of `verify_and_recover` on every hit in
+    /// order, and the verifier ran once per distinct `(schedule_addr(),
+    /// key_size)` among the hits (plus once per hit whose span would start
+    /// below address 0, which has no span to share).
+    #[test]
+    fn channel_verification_runs_once_per_span_and_matches_per_hit_replay() {
+        for (case, d) in [0.02, 0.08, 0.15].into_iter().enumerate() {
+            let (dump, candidates, config, master) = decayed_fill_case(case as u64, d);
+            let whole = search_dump(
+                &dump,
+                &candidates,
+                &SearchConfig {
+                    threads: 1,
+                    ..config.clone()
+                },
+            );
+            let mut raw = Vec::new();
+            let mut expected = Vec::new();
+            for hit in &whole.hits {
+                if let Some(rec) = verify_and_recover(&dump, &candidates, hit, &config) {
+                    raw.push(rec.clone());
+                    merge_recovery(&mut expected, rec);
+                }
+            }
+            expected.sort_by_key(|r| r.schedule_addr);
+            assert!(
+                expected.iter().any(|r| r.master_key == master),
+                "d={d}: the planted key must be recovered"
+            );
+            let spans: HashSet<(u64, KeySize)> = whole
+                .hits
+                .iter()
+                .filter_map(|h| Some((h.schedule_addr()?, h.key_size)))
+                .collect();
+            let unplaced = whole
+                .hits
+                .iter()
+                .filter(|h| h.schedule_addr().is_none())
+                .count();
+            let runs = (spans.len() + unplaced) as u64;
+            assert!(
+                runs < whole.hits.len() as u64,
+                "d={d}: hits must share spans"
+            );
+            // Each level runs every window size once and every thread
+            // count once; over the three levels each (threads, window)
+            // pair runs once.
+            for (w, wb) in [1usize, 7, 512].into_iter().enumerate() {
+                let threads = 1 + (case + w) % 3;
+                let at = format!("d={d} window={wb} threads={threads}");
+                let config = SearchConfig {
+                    threads,
+                    ..config.clone()
+                };
+                let metrics = Arc::new(SearchMetrics::default());
+                let partial =
+                    stream_fed(&dump, &candidates, &config, wb, &metrics).finish_partial();
+                assert_eq!(partial.hits, whole.hits, "{at}");
+                assert_eq!(partial.recoveries, raw, "{at}");
+                assert_eq!(metrics.reconstruct_us.count(), runs, "{at}");
+                assert_eq!(
+                    metrics.verify_reused.get(),
+                    whole.hits.len() as u64 - runs,
+                    "{at}"
+                );
+                let streamed = stream_in_windows(&dump, &candidates, &config, wb);
+                assert_eq!(streamed.recovered, expected, "{at}");
+            }
+        }
+    }
+
+    /// The span map lives across pushes but not past the retained tail:
+    /// streamed in 1-block windows, after every push it holds no span
+    /// below the retained base, and spans do leave it as the base moves.
+    #[test]
+    fn span_map_holds_no_span_below_the_retained_base() {
+        let (dump, candidates, config, master) = decayed_fill_case(7, 0.05);
+        let mut s = StreamSearcher::new(&candidates, &config);
+        let mut seen = HashSet::new();
+        for i in 0..dump.len_blocks() {
+            s.push(&MemoryDump::new(
+                dump.bytes()[i * 64..(i + 1) * 64].to_vec(),
+                dump.block_addr(i),
+            ));
+            assert!(
+                s.spans.keys().all(|&(addr, _)| addr >= s.buf_base),
+                "after block {i}: a span below base {}",
+                s.buf_base
+            );
+            seen.extend(s.spans.keys().copied());
+        }
+        assert!(!seen.is_empty(), "spans must have been verified");
+        assert!(
+            s.spans.len() < seen.len(),
+            "trimming must have dropped spans"
+        );
+        let outcome = s.finish();
+        assert_eq!(outcome.recovered.len(), 1);
+        assert_eq!(outcome.recovered[0].master_key, master);
     }
 
     mod channel_equivalence {

@@ -17,8 +17,8 @@
 use crate::dump::{xor_block, MemoryDump};
 use crate::litmus::CandidateKey;
 use crate::reconstruct::{
-    correct_schedule, residual_budget_pair, Correction, FlipCounts, ReconstructConfig,
-    ReconstructTally, ScheduleObservation,
+    correct_schedule, residual_budget_pair, residual_kind, Correction, FlipCounts,
+    ReconstructConfig, ReconstructTally, ScheduleObservation, RES_IDENT, RES_RCON, RES_SUB,
 };
 use crate::scan::{self, EngineMetrics, ScanOptions};
 use coldboot_crypto::aes::key_schedule::{expansion_step, rcon, KeySchedule};
@@ -27,7 +27,6 @@ use coldboot_crypto::aes::key_schedule::{expansion_step, rcon, KeySchedule};
 // coordinator) can name the type without a direct crypto dependency.
 pub use coldboot_crypto::aes::key_schedule::KeySize;
 use coldboot_crypto::aes::sbox::{rot_word, sbox_bitsliced, sub_word};
-use coldboot_crypto::hamming;
 use coldboot_dram::BLOCK_BYTES;
 use coldboot_metrics::{Counter, Histogram, MetricsRegistry, Span};
 use std::array::from_fn;
@@ -147,6 +146,11 @@ pub struct SearchMetrics {
     /// schedule span instead of running their own (`search_verify_reused`).
     /// Only channel mode reuses; see [`StreamSearcher`].
     pub verify_reused: Arc<Counter>,
+    /// Channel verification runs that reached the branch-and-bound
+    /// corrector (`search_corrector_runs`): runs whose span passed the
+    /// residual gate that opens verification. At most the run count
+    /// (`search_reconstruct_us`'s sample count); zero in raw mode.
+    pub corrector_runs: Arc<Counter>,
     /// Verifications that produced a recovery, before overlap dedup
     /// (`search_recoveries`).
     pub recoveries: Arc<Counter>,
@@ -188,6 +192,7 @@ impl Default for SearchMetrics {
             hits: Arc::default(),
             verify_rejects: Arc::default(),
             verify_reused: Arc::default(),
+            corrector_runs: Arc::default(),
             recoveries: Arc::default(),
             decayed_bits: Arc::default(),
             anti_ground_bits: Arc::default(),
@@ -209,6 +214,7 @@ impl SearchMetrics {
             hits: registry.counter("search_hits"),
             verify_rejects: registry.counter("search_verify_rejects"),
             verify_reused: registry.counter("search_verify_reused"),
+            corrector_runs: registry.counter("search_corrector_runs"),
             recoveries: registry.counter("search_recoveries"),
             decayed_bits: registry.counter("search_decayed_bits"),
             anti_ground_bits: registry.counter("search_anti_ground_bits"),
@@ -567,11 +573,29 @@ pub fn verify_and_recover_with(
     config: &SearchConfig,
     tally: &mut ReconstructTally,
 ) -> Option<RecoveredAesKey> {
+    let pool = CandidatePool::new(candidates, &[hit.key_size]);
+    verify_hit(dump, &pool, hit, config, tally)
+}
+
+/// [`verify_and_recover_with`] over a prepared [`CandidatePool`], which
+/// must hold residuals for `hit.key_size` in channel mode.
+fn verify_hit(
+    dump: &MemoryDump,
+    pool: &CandidatePool,
+    hit: &ScheduleHit,
+    config: &SearchConfig,
+    tally: &mut ReconstructTally,
+) -> Option<RecoveredAesKey> {
+    // No candidate explains any block: every path below would fail at its
+    // first candidate pick, or select nothing.
+    if pool.keys.is_empty() {
+        return None;
+    }
     if let Some(rc) = &config.reconstruct {
         let size = hit.key_size;
         let schedule_addr = hit.schedule_addr()?;
         let (unexplained, fin) =
-            verify_channel(dump, candidates, schedule_addr, size, config, rc, tally)?;
+            verify_channel(dump, pool, schedule_addr, size, config, rc, tally)?;
         return Some(RecoveredAesKey {
             key_size: size,
             master_key: fin.schedule[..size.nk()]
@@ -618,31 +642,40 @@ pub fn verify_and_recover_with(
         let at = (cursor - schedule_addr) as usize;
         let take = (len - at).min(BLOCK_BYTES - in_block);
         let idx = dump.block_index_of(block_base)?;
-        let raw = dump.block(idx);
+        let seen = &dump.block(idx)[in_block..in_block + take];
         let pred_slice = &predicted[at..][..take];
-        let mut best: Option<(u32, [u8; BLOCK_BYTES])> = None;
-        for cand in candidates {
-            let des = xor_block(raw, &cand.key);
-            let dist = hamming::distance(&des[in_block..in_block + take], pred_slice);
-            if best.is_none_or(|(d, _)| dist < d) {
-                best = Some((dist, des));
-            }
-        }
-        let (dist, des) = best?;
         // Decayed-but-correct keys land within a few percent of the
         // prediction; a missing key leaves ~50% of bits wrong. A third of
         // the compared bits separates the two regimes cleanly.
-        if dist > (take as u32 * 8) / 3 {
-            unexplained += 1;
-            if unexplained > config.max_unexplained_blocks {
-                return None;
+        let gate = take as u64 * 8 / 3;
+        let best = bounded_pick(pool.keys.len(), gate, |ci, limit| {
+            let key = &pool.keys[ci].key[in_block..in_block + take];
+            let mut dist = 0u64;
+            for ((s, k), p) in seen.chunks(8).zip(key.chunks(8)).zip(pred_slice.chunks(8)) {
+                dist += u64::from((lane(s) ^ lane(k) ^ lane(p)).count_ones());
+                if dist >= limit {
+                    break;
+                }
             }
-            // Neutral fill so the noisy-recovery pass below is not poisoned
-            // by a block we know we cannot descramble.
-            observed[at..][..take].copy_from_slice(pred_slice);
-        } else {
-            observed[at..][..take].copy_from_slice(&des[in_block..in_block + take]);
-            total_error += dist;
+            dist
+        });
+        match best {
+            None => {
+                unexplained += 1;
+                if unexplained > config.max_unexplained_blocks {
+                    return None;
+                }
+                // Neutral fill so the noisy-recovery pass below is not
+                // poisoned by a block we know we cannot descramble.
+                observed[at..][..take].copy_from_slice(pred_slice);
+            }
+            Some((dist, ci)) => {
+                let key = &pool.keys[ci].key[in_block..in_block + take];
+                for ((o, s), k) in observed[at..][..take].iter_mut().zip(seen).zip(key) {
+                    *o = s ^ k;
+                }
+                total_error += dist as u32;
+            }
         }
         cursor = block_base + BLOCK_BYTES as u64;
     }
@@ -674,6 +707,57 @@ pub fn verify_and_recover_with(
     })
 }
 
+/// Up to eight bytes as one little-endian word, zero-padded.
+#[inline]
+fn lane(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The first of `n` candidates with the lowest cost, if that cost is at
+/// most `gate`: the `(cost, index)` a full first-argmin loop over `0..n`
+/// returns, or `None` when the full loop's minimum exceeds `gate` (and
+/// for `n == 0`). Every per-block candidate choice in verification goes
+/// through here.
+///
+/// `cost(i, limit)` returns candidate `i`'s cost, or may stop once its
+/// running sum reaches `limit` and return that partial sum (any value
+/// `>= limit`). Each candidate runs with `limit = min(best so far,
+/// gate + 1)` and is kept only when strictly below it. A candidate whose
+/// full cost ties or exceeds the best, or exceeds the gate, would not be
+/// kept by the full loop either (ties keep the first), so stopping it
+/// early changes nothing, and a kept cost is always a full one.
+fn bounded_pick(
+    n: usize,
+    gate: u64,
+    mut cost: impl FnMut(usize, u64) -> u64,
+) -> Option<(u64, usize)> {
+    let mut best: Option<(u64, usize)> = None;
+    for i in 0..n {
+        // The best so far is at most `gate`, so it is also the minimum.
+        let limit = best.map_or(gate.saturating_add(1), |(c, _)| c);
+        let c = cost(i, limit);
+        if c < limit {
+            best = Some((c, i));
+        }
+    }
+    best
+}
+
+/// The unbounded form of [`bounded_pick`]: the full first-argmin loop
+/// over every candidate's full cost, then the gate.
+#[cfg(test)]
+fn bounded_pick_reference(costs: &[u64], gate: u64) -> Option<(u64, usize)> {
+    let mut best: Option<(u64, usize)> = None;
+    for (i, &c) in costs.iter().enumerate() {
+        if best.is_none_or(|(b, _)| c < b) {
+            best = Some((c, i));
+        }
+    }
+    best.filter(|&(c, _)| c <= gate)
+}
+
 /// Parses a block into its sixteen big-endian 32-bit words.
 #[inline]
 fn block_words(block: &[u8; BLOCK_BYTES]) -> [u32; BLOCK_BYTES / 4] {
@@ -691,6 +775,68 @@ fn be_word(block: &[u8; BLOCK_BYTES], j: usize) -> u32 {
     ])
 }
 
+/// The identity residuals `w[j] ^ w[j−Nk] ^ w[j−1]` of a block's words for
+/// a key of `nk` words, at every `j >= nk` (zero below).
+///
+/// The identity step `w[i] = w[i−Nk] ^ w[i−1]` is linear, so for a
+/// descrambled block `D = B ^ K` the residual splits into a block part and
+/// a key part: `res(D)[j] = res(B)[j] ^ res(K)[j]`. Three of every four
+/// residual words a litmus position checks (AES-256 and AES-128) are
+/// identity steps, so their popcounts — a lower bound on the position's
+/// cost — need neither a descramble nor a `SubWord`.
+fn identity_residuals(w: &[u32; BLOCK_BYTES / 4], nk: usize) -> [u32; BLOCK_BYTES / 4] {
+    from_fn(|j| {
+        if j >= nk {
+            w[j] ^ w[j - nk] ^ w[j - 1]
+        } else {
+            0
+        }
+    })
+}
+
+/// The candidate scrambler keys in every form the sweeps and verification
+/// read: key bytes, key words, and per key size every key's
+/// [`identity_residuals`]. Built once per searcher; the residual tables
+/// take 64 bytes per (candidate, key size), ~27 KiB for 219 candidates
+/// and the two default sizes.
+struct CandidatePool {
+    keys: Vec<CandidateKey>,
+    words: Vec<[u32; BLOCK_BYTES / 4]>,
+    /// One `(size, residuals by candidate)` entry per requested size, in
+    /// request order (the channel sweep indexes them like its sizes).
+    residuals: Vec<(KeySize, Vec<[u32; BLOCK_BYTES / 4]>)>,
+}
+
+impl CandidatePool {
+    fn new(candidates: &[CandidateKey], sizes: &[KeySize]) -> Self {
+        let words: Vec<[u32; BLOCK_BYTES / 4]> = candidates
+            .iter()
+            .map(|cand| block_words(&cand.key))
+            .collect();
+        let residuals = sizes
+            .iter()
+            .map(|&size| {
+                let res = words.iter().map(|w| identity_residuals(w, size.nk()));
+                (size, res.collect())
+            })
+            .collect();
+        Self {
+            keys: candidates.to_vec(),
+            words,
+            residuals,
+        }
+    }
+
+    /// Every candidate's identity residuals for `size`, if the pool was
+    /// built for it.
+    fn residuals(&self, size: KeySize) -> Option<&[[u32; BLOCK_BYTES / 4]]> {
+        self.residuals
+            .iter()
+            .find(|(s, _)| *s == size)
+            .map(|(_, res)| res.as_slice())
+    }
+}
+
 /// Channel-aware verification (the `config.reconstruct` path of
 /// [`verify_and_recover_with`]), in three stages:
 ///
@@ -704,7 +850,10 @@ fn be_word(block: &[u8; BLOCK_BYTES], j: usize) -> u32 {
 ///    excluded from the counted mask, subject to
 ///    `config.max_unexplained_blocks`. Blocks with no ground coverage
 ///    are uncounted without penalty; blocks too short to contain a
-///    residual pair are deferred to stage 3.
+///    residual pair are deferred to stage 3. The pick is a
+///    [`bounded_pick`] that sums a candidate's identity words first,
+///    from the pool's key residuals, and its transform words only if it
+///    is still under `min(best so far, budget + 1)`.
 /// 2. **Full-span correction.** Run the branch-and-bound corrector over
 ///    the assembled multi-block observation and gate on
 ///    [`coldboot_dram::retention::BitChannel::span_budget_millinats`]
@@ -724,7 +873,7 @@ fn be_word(block: &[u8; BLOCK_BYTES], j: usize) -> u32 {
 /// the span, given the candidates and the configuration.
 fn verify_channel(
     dump: &MemoryDump,
-    candidates: &[CandidateKey],
+    pool: &CandidatePool,
     schedule_addr: u64,
     size: KeySize,
     config: &SearchConfig,
@@ -735,16 +884,13 @@ fn verify_channel(
     let total = size.schedule_words();
     let len = size.schedule_len();
     dump.slice_at(schedule_addr, len)?;
+    let key_res = pool.residuals(size)?;
 
     let ground_block = |addr: u64| -> Option<&[u8; BLOCK_BYTES]> {
         rc.ground.block_index_of(addr).map(|i| rc.ground.block(i))
     };
     let c_id = u64::from(rc.res_ident.to_ground_millinats);
     let c_tr = u64::from(rc.res_sbox.to_ground_millinats);
-    let is_transform = |idx: usize| {
-        let m = idx % nk;
-        m == 0 || (nk > 6 && m == 4)
-    };
 
     // Stage 1: assemble the observation, choosing each block's candidate
     // by within-block residual cost. Uncounted words stay zero — they
@@ -778,38 +924,60 @@ fn verify_channel(
             i += words_here;
             continue;
         }
-        let mut best: Option<(u64, usize)> = None;
-        for (ci, cand) in candidates.iter().enumerate() {
-            let w = |k: usize| be_word(raw, first_j + k) ^ be_word(&cand.key, first_j + k);
-            let mut cost = 0u64;
-            for k in nk..words_here {
-                let idx = i + k;
-                let r = w(k) ^ w(k - nk) ^ expansion_step(size, idx, w(k - 1));
-                cost += u64::from(r.count_ones()) * if is_transform(idx) { c_tr } else { c_id };
-            }
-            if best.is_none_or(|(c, _)| cost < c) {
-                best = Some((cost, ci));
+        // Block words `first_j + k` for `k` in `nk..words_here` carry a
+        // residual; split them by phase (bit `first_j + k` of each mask).
+        let (mut ident, mut transform) = (0u32, 0u32);
+        for k in nk..words_here {
+            if residual_kind(nk, i + k) == RES_IDENT {
+                ident |= 1 << (first_j + k);
+            } else {
+                transform |= 1 << (first_j + k);
             }
         }
-        let (best_cost, best_ci) = best?;
-        let tr = u32::try_from((nk..words_here).filter(|&k| is_transform(i + k)).count())
-            .unwrap_or(u32::MAX);
-        let id = u32::try_from(words_here - nk).unwrap_or(u32::MAX) - tr;
-        if best_cost > residual_budget_pair(&rc.res_ident, &rc.res_sbox, 32 * id, 32 * tr) {
-            unexplained += 1;
-            if unexplained > config.max_unexplained_blocks {
-                return None;
+        let bits = |mask: u32| 32 * mask.count_ones();
+        let budget =
+            residual_budget_pair(&rc.res_ident, &rc.res_sbox, bits(ident), bits(transform));
+        let raw_w = block_words(raw);
+        let raw_res = identity_residuals(&raw_w, nk);
+        let best = bounded_pick(pool.keys.len(), budget, |ci, limit| {
+            let mut cost = 0u64;
+            // Identity words first: descrambled residual = block's ^ key's.
+            let key_r = &key_res[ci];
+            for j in set_bits(ident) {
+                cost += u64::from((raw_res[j] ^ key_r[j]).count_ones()) * c_id;
+                if cost >= limit {
+                    return cost;
+                }
             }
-        } else {
-            let ck = &candidates[best_ci].key;
-            for k in 0..words_here {
-                let j = first_j + k;
-                let b = be_word(raw, j);
-                obs.words[i + k] = b ^ be_word(ck, j);
-                obs.toward_ground[i + k] = !(b ^ be_word(gb, j));
-                obs.counted[i + k] = u32::MAX;
+            let kw = &pool.words[ci];
+            let w = |j: usize| raw_w[j] ^ kw[j];
+            for j in set_bits(transform) {
+                let idx = i + j - first_j;
+                let r = w(j) ^ w(j - nk) ^ expansion_step(size, idx, w(j - 1));
+                cost += u64::from(r.count_ones()) * c_tr;
+                if cost >= limit {
+                    return cost;
+                }
             }
-            selected_any = true;
+            cost
+        });
+        match best {
+            None => {
+                unexplained += 1;
+                if unexplained > config.max_unexplained_blocks {
+                    return None;
+                }
+            }
+            Some((_, ci)) => {
+                let (kw, gw) = (&pool.words[ci], block_words(gb));
+                for k in 0..words_here {
+                    let j = first_j + k;
+                    obs.words[i + k] = raw_w[j] ^ kw[j];
+                    obs.toward_ground[i + k] = !(raw_w[j] ^ gw[j]);
+                    obs.counted[i + k] = u32::MAX;
+                }
+                selected_any = true;
+            }
         }
         i += words_here;
     }
@@ -832,39 +1000,43 @@ fn verify_channel(
             continue;
         };
         let first_j = (((schedule_addr + 4 * i0 as u64) - block_base) / 4) as usize;
-        let mut best: Option<(u64, usize)> = None;
-        for (ci, cand) in candidates.iter().enumerate() {
-            let mut cost = 0u64;
-            for k in 0..words_here {
-                let j = first_j + k;
-                let d = be_word(raw, j) ^ be_word(&cand.key, j);
-                let tg = !(be_word(raw, j) ^ be_word(gb, j));
-                cost += rc.channel.word_cost_millinats(d ^ fin.schedule[i0 + k], tg);
-            }
-            if best.is_none_or(|(c, _)| cost < c) {
-                best = Some((cost, ci));
-            }
-        }
-        let (best_cost, best_ci) = best?;
-        let bits = 32 * words_here as u64;
+        let (raw_w, gw) = (block_words(raw), block_words(gb));
         // A candidate that merely decayed pays toward-ground prices; a
         // missing key leaves ~a quarter of the bits anti-ground. An
         // eighth of the bits at the anti-ground price separates the two.
-        if best_cost > bits / 8 * u64::from(rc.channel.anti_ground_millinats) {
-            unexplained += 1;
-            if unexplained > config.max_unexplained_blocks {
-                return None;
-            }
-        } else {
-            let ck = &candidates[best_ci].key;
+        let gate = 32 * words_here as u64 / 8 * u64::from(rc.channel.anti_ground_millinats);
+        let best = bounded_pick(pool.keys.len(), gate, |ci, limit| {
+            let kw = &pool.words[ci];
+            let mut cost = 0u64;
             for k in 0..words_here {
                 let j = first_j + k;
-                let b = be_word(raw, j);
-                obs.words[i0 + k] = b ^ be_word(ck, j);
-                obs.toward_ground[i0 + k] = !(b ^ be_word(gb, j));
-                obs.counted[i0 + k] = u32::MAX;
+                let tg = !(raw_w[j] ^ gw[j]);
+                cost += rc
+                    .channel
+                    .word_cost_millinats(raw_w[j] ^ kw[j] ^ fin.schedule[i0 + k], tg);
+                if cost >= limit {
+                    break;
+                }
             }
-            joined = true;
+            cost
+        });
+        match best {
+            None => {
+                unexplained += 1;
+                if unexplained > config.max_unexplained_blocks {
+                    return None;
+                }
+            }
+            Some((_, ci)) => {
+                let kw = &pool.words[ci];
+                for k in 0..words_here {
+                    let j = first_j + k;
+                    obs.words[i0 + k] = raw_w[j] ^ kw[j];
+                    obs.toward_ground[i0 + k] = !(raw_w[j] ^ gw[j]);
+                    obs.counted[i0 + k] = u32::MAX;
+                }
+                joined = true;
+            }
         }
     }
     if joined {
@@ -874,6 +1046,18 @@ fn verify_channel(
         }
     }
     Some((unexplained, fin))
+}
+
+/// The indices of the set bits of `mask`, lowest first.
+#[inline]
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            j
+        })
+    })
 }
 
 /// Merges one verified recovery into the deduplicated result set.
@@ -951,8 +1135,9 @@ pub const SCHEDULE_CONTEXT_BLOCKS: usize = 4;
 /// the retained tail, so the stored outcome is the one the hit's own run
 /// would produce.
 pub struct StreamSearcher {
-    candidates: Vec<CandidateKey>,
-    key_words: Vec<[u32; BLOCK_BYTES / 4]>,
+    /// The candidates, their words and their identity residuals for every
+    /// configured key size.
+    pool: CandidatePool,
     /// Bit-sliced candidate words for the first-word filter, built once.
     sliced: SlicedKeys,
     /// The channel sweep's tables, built once when reconstruction is on.
@@ -993,11 +1178,8 @@ impl StreamSearcher {
         // Parse every candidate key to words once; a survivor's descramble
         // is then 16 word XORs, and the bit-sliced first-word filter needs
         // no descramble at all (see `SlicedKeys`).
-        let key_words: Vec<[u32; BLOCK_BYTES / 4]> = candidates
-            .iter()
-            .map(|cand| block_words(&cand.key))
-            .collect();
-        let sliced = SlicedKeys::new(&key_words, &config.key_sizes);
+        let pool = CandidatePool::new(candidates, &config.key_sizes);
+        let sliced = SlicedKeys::new(&pool.words, &config.key_sizes);
         let channel = config
             .reconstruct
             .as_ref()
@@ -1007,8 +1189,7 @@ impl StreamSearcher {
             key_index.entry(cand.key).or_insert(ci);
         }
         Self {
-            candidates: candidates.to_vec(),
-            key_words,
+            pool,
             sliced,
             channel,
             key_index,
@@ -1091,8 +1272,7 @@ impl StreamSearcher {
         if let Some(metrics) = &self.metrics {
             opts = opts.with_metrics(Arc::clone(&metrics.engine));
         }
-        let candidates = &self.candidates;
-        let key_words = &self.key_words;
+        let pool = &self.pool;
         let sliced = &self.sliced;
         let channel = self.channel.as_ref();
         let config = &self.config;
@@ -1107,11 +1287,9 @@ impl StreamSearcher {
             SweepAcc::default,
             |acc, n| {
                 if let Some(channel) = channel {
-                    scan_block_channel(&view, candidates, key_words, channel, n, sweep[n], acc);
+                    scan_block_channel(&view, pool, channel, n, sweep[n], acc);
                 } else {
-                    scan_block_batched(
-                        &view, candidates, key_words, sliced, config, n, sweep[n], acc,
-                    );
+                    scan_block_batched(&view, pool, sliced, config, n, sweep[n], acc);
                 }
             },
             SweepAcc::merge,
@@ -1200,13 +1378,13 @@ impl StreamSearcher {
             .as_ref()
             .filter(|_| reconstructing)
             .map(|m| m.reconstruct_us.as_ref());
-        let (candidates, config) = (&self.candidates, &self.config);
+        let (pool, config) = (&self.pool, &self.config);
         let opts = ScanOptions::with_threads(config.threads).batch_items(1);
         let verified = scan::scan_collect(runs.len(), &opts, |n, out| {
             let mut tally = ReconstructTally::default();
             let outcome = {
                 let _span = Span::start(latency);
-                verify_and_recover_with(view, candidates, &hits[runs[n]], config, &mut tally)
+                verify_hit(view, pool, &hits[runs[n]], config, &mut tally)
             };
             out.push((outcome, tally));
         });
@@ -1216,6 +1394,7 @@ impl StreamSearcher {
                 Some((_, (outcome, tally))) => {
                     if let Some(metrics) = &self.metrics {
                         if reconstructing {
+                            metrics.corrector_runs.add(u64::from(tally.corrections > 0));
                             metrics.reconstruct_expanded.add(tally.expanded);
                             metrics.reconstruct_pruned.add(tally.pruned);
                             if outcome.is_some() {
@@ -1564,6 +1743,9 @@ struct SweepAcc {
     survivors: Vec<(usize, usize, usize)>,
     /// Scratch: litmus matches of one surviving triple.
     matches: Vec<LitmusMatch>,
+    /// Scratch for the channel sweep: the block's identity residuals, one
+    /// entry per configured key size.
+    block_res: Vec<[u32; BLOCK_BYTES / 4]>,
 }
 
 impl SweepAcc {
@@ -1584,11 +1766,9 @@ impl SweepAcc {
 /// filter bit-sliced over all candidates ([`SlicedKeys`]), then descrambles
 /// only for the rare surviving candidates (memoized across a candidate's
 /// surviving offsets).
-#[allow(clippy::too_many_arguments)]
 fn scan_block_batched(
     dump: &MemoryDump,
-    candidates: &[CandidateKey],
-    key_words: &[[u32; BLOCK_BYTES / 4]],
+    pool: &CandidatePool,
     sliced: &SlicedKeys,
     config: &SearchConfig,
     pos: usize,
@@ -1611,7 +1791,7 @@ fn scan_block_batched(
     for s in 0..acc.survivors.len() {
         let (ci, si, oi) = acc.survivors[s];
         if desc_for != ci {
-            for (d, (b, k)) in desc.iter_mut().zip(block_w.iter().zip(&key_words[ci])) {
+            for (d, (b, k)) in desc.iter_mut().zip(block_w.iter().zip(&pool.words[ci])) {
                 *d = b ^ k;
             }
             desc_for = ci;
@@ -1639,7 +1819,7 @@ fn scan_block_batched(
                 pos,
                 ScheduleHit {
                     block_addr: dump.block_addr(i),
-                    scrambler_key: candidates[ci].key,
+                    scrambler_key: pool.keys[ci].key,
                     key_size: size,
                     window_offset: m.window_offset,
                     start_word: m.start_word,
@@ -1647,25 +1827,6 @@ fn scan_block_batched(
                 },
             ));
         }
-    }
-}
-
-// Residual kinds of the channel sweep, set by the phase `idx % Nk` of the
-// schedule word a residual `w[idx] ^ w[idx−Nk] ^ f(w[idx−1])` checks.
-/// `f` is the identity.
-const RES_IDENT: usize = 0;
-/// `f` is `SubWord` (AES-256 at `idx % 8 == 4`).
-const RES_SUB: usize = 1;
-/// `f` is `SubWord ∘ RotWord` plus Rcon. The sweep's table counts the
-/// low 24 bits only; the round constant's byte is added per start.
-const RES_RCON: usize = 2;
-
-/// Residual kind of schedule word `idx` for a key of `nk` words.
-fn residual_kind(nk: usize, idx: usize) -> usize {
-    match idx % nk {
-        0 => RES_RCON,
-        4 if nk > 6 => RES_SUB,
-        _ => RES_IDENT,
     }
 }
 
@@ -1698,6 +1859,49 @@ struct ChannelSize {
     budgets: [u64; 8],
     /// The start phases the sweep reaches.
     phases: Vec<usize>,
+    /// The identity bound's terms: for each distinct set of identity-kind
+    /// residual words among the reachable phases, the block words it
+    /// covers at window offset 0 as a mask (bit `Nk + e` for extension
+    /// word `e`; offset `o` shifts it left by `o`) and the largest budget
+    /// of the phases sharing it. AES-256 and AES-128 have one term each
+    /// with the default start step.
+    bounds: Vec<(u32, u64)>,
+    /// The block words some term covers at some window offset.
+    reads: Range<usize>,
+}
+
+impl ChannelSize {
+    /// Whether the identity residuals alone leave some (window offset,
+    /// reachable start phase) within its budget. The descrambled block's
+    /// identity residual at block word `j` is `block_r[j] ^ key_r[j]`,
+    /// priced at `price` per set bit. Every residual word costs a
+    /// non-negative amount, so a position's identity words bound its
+    /// cost from below, and `false` means no start at any offset can
+    /// pass for this key size.
+    fn identity_bound_fits(
+        &self,
+        block_r: &[u32; BLOCK_BYTES / 4],
+        key_r: &[u32; BLOCK_BYTES / 4],
+        price: u64,
+    ) -> bool {
+        let mut pops = [0u32; BLOCK_BYTES / 4];
+        let mut least = u32::MAX;
+        for j in self.reads.clone() {
+            pops[j] = (block_r[j] ^ key_r[j]).count_ones();
+            least = least.min(pops[j]);
+        }
+        self.bounds.iter().any(|&(mask, budget)| {
+            // A term's `n` words each carry at least `least` bits, so
+            // `n · least` over budget rejects every offset at once, and
+            // nearly every pair that is not a schedule or fill stops here.
+            let floor = least.saturating_mul(mask.count_ones());
+            u64::from(floor) * price <= budget
+                && (0..LITMUS_OFFSETS).any(|oi| {
+                    let bits: u32 = set_bits(mask << oi).map(|j| pops[j]).sum();
+                    u64::from(bits) * price <= budget
+                })
+        })
+    }
 }
 
 impl ChannelSweep {
@@ -1726,12 +1930,31 @@ impl ChannelSweep {
                     .collect();
                 phases.sort_unstable();
                 phases.dedup();
+                let mut bounds: Vec<(u32, u64)> = Vec::new();
+                for &ph in &phases {
+                    let mask = (0..extend)
+                        .filter(|&e| kinds[ph][e] == RES_IDENT)
+                        .fold(0u32, |m, e| m | 1 << (nk + e));
+                    match bounds.iter_mut().find(|(m, _)| *m == mask) {
+                        Some((_, budget)) => *budget = (*budget).max(budgets[ph]),
+                        None => bounds.push((mask, budgets[ph])),
+                    }
+                }
+                let covered = bounds.iter().fold(0u32, |m, &(mask, _)| m | mask);
+                let reads = if covered == 0 {
+                    0..0
+                } else {
+                    covered.trailing_zeros() as usize
+                        ..(32 - covered.leading_zeros()) as usize + LITMUS_OFFSETS - 1
+                };
                 ChannelSize {
                     size,
                     extend,
                     kinds,
                     budgets,
                     phases,
+                    bounds,
+                    reads,
                 }
             })
             .collect();
@@ -1779,21 +2002,48 @@ impl ChannelSweep {
 /// distances equal the direct evaluation
 /// (`channel_sweep_matches_reference`).
 ///
+/// Before any of that, a (block, candidate) pair must pass the identity
+/// bound: the identity residuals of the descrambled block are the block's
+/// XOR the candidate's ([`identity_residuals`], the candidate's from the
+/// pool), and their priced popcounts, summed over a position's identity
+/// words, bound its cost from below. The tables run only for a pair
+/// whose bound fits some (offset, start phase) budget of some key size
+/// ([`ChannelSize::identity_bound_fits`]): 2,225 of 897,024 pairs
+/// (0.25%) in a decayed-capture job (256 KiB, d = 0.02, seed 11), so the
+/// sweep computes no `SubWord` for the rest. A rejected pair has no
+/// passing position, so hits are unchanged.
+///
 /// The deliberate ~sub-percent false-positive rate per trial is absorbed
-/// by stage 1 of the channel verification, which rejects noise scores
-/// cheaply. Hits are appended in the same candidate → key size →
-/// (offset, start) order as the raw-distance sweep.
+/// by stage 1 of the channel verification. In that job it rejects about
+/// 3,000 hits, nearly all on decayed zero fill under its own key, in
+/// 17–21 ms of verify-worker time (68–87 ms when it scored every
+/// candidate in full; 2-vCPU host, back to back). Hits are appended in
+/// the same candidate → key size → (offset, start) order as the
+/// raw-distance sweep.
 fn scan_block_channel(
     dump: &MemoryDump,
-    candidates: &[CandidateKey],
-    key_words: &[[u32; BLOCK_BYTES / 4]],
+    pool: &CandidatePool,
     sweep: &ChannelSweep,
     pos: usize,
     i: usize,
     acc: &mut SweepAcc,
 ) {
     let block_w = block_words(dump.block(i));
-    for (ci, kw) in key_words.iter().enumerate() {
+    acc.block_res.clear();
+    acc.block_res.extend(
+        sweep
+            .sizes
+            .iter()
+            .map(|cs| identity_residuals(&block_w, cs.size.nk())),
+    );
+    for (ci, kw) in pool.words.iter().enumerate() {
+        let bounded = sweep.sizes.iter().enumerate().any(|(si, cs)| {
+            let key_r = &pool.residuals[si].1[ci];
+            cs.identity_bound_fits(&acc.block_res[si], key_r, sweep.price[RES_IDENT])
+        });
+        if !bounded {
+            continue;
+        }
         let d: [u32; BLOCK_BYTES / 4] = from_fn(|j| block_w[j] ^ kw[j]);
         // An all-zero descrambled span is unscrambled zero fill, not a
         // schedule — Rcon injection means no AES key expands to zeros. Its
@@ -1862,7 +2112,7 @@ fn scan_block_channel(
                             pos,
                             ScheduleHit {
                                 block_addr: dump.block_addr(i),
-                                scrambler_key: candidates[ci].key,
+                                scrambler_key: pool.keys[ci].key,
                                 key_size: cs.size,
                                 window_offset: oi * 4,
                                 start_word: start,
@@ -1906,10 +2156,7 @@ fn scan_block_channel_reference(
             for (rem, budget) in budgets.iter_mut().enumerate().take(nk) {
                 let tr = u32::try_from(
                     (0..extend)
-                        .filter(|e| {
-                            let m = (rem + e) % nk;
-                            m == 0 || (nk > 6 && m == 4)
-                        })
+                        .filter(|e| residual_kind(nk, rem + e) != RES_IDENT)
                         .count(),
                 )
                 .unwrap_or(u32::MAX);
@@ -1935,12 +2182,11 @@ fn scan_block_channel_reference(
                             span[nk + e] ^ span[e] ^ expansion_step(size, idx, span[nk + e - 1]);
                         let n = r.count_ones();
                         distance += n;
-                        let m = idx % nk;
                         cost += u64::from(n)
-                            * if m == 0 || (nk > 6 && m == 4) {
-                                c_tr
-                            } else {
+                            * if residual_kind(nk, idx) == RES_IDENT {
                                 c_id
+                            } else {
+                                c_tr
                             };
                     }
                     if cost <= budgets[start % nk] {
@@ -2520,6 +2766,7 @@ mod tests {
             "every hit is verified exactly once"
         );
         assert_eq!(metrics.verify_reused.get(), 0, "raw mode runs every hit");
+        assert_eq!(metrics.corrector_runs.get(), 0, "raw mode never corrects");
         // Every region block is either swept by the engine or reuses an
         // earlier block's hits.
         assert!(metrics.reused_blocks.get() > 0);
@@ -3145,6 +3392,13 @@ mod tests {
                 assert_eq!(partial.hits, whole.hits, "{at}");
                 assert_eq!(partial.recoveries, raw, "{at}");
                 assert_eq!(metrics.reconstruct_us.count(), runs, "{at}");
+                // The planted schedule's span reaches the corrector; spans
+                // that fail stage 1 do not.
+                let corrected = metrics.corrector_runs.get();
+                assert!(
+                    corrected >= 1 && corrected <= runs,
+                    "{at}: {corrected} of {runs}"
+                );
                 assert_eq!(
                     metrics.verify_reused.get(),
                     whole.hits.len() as u64 - runs,
@@ -3153,6 +3407,95 @@ mod tests {
                 let streamed = stream_in_windows(&dump, &candidates, &config, wb);
                 assert_eq!(streamed.recovered, expected, "{at}");
             }
+        }
+    }
+
+    /// The bounded pick returns what the full first-argmin loop returns
+    /// once gated, on seeded pools that cover ties (duplicate
+    /// candidates), every candidate over the gate, a minimum exactly at
+    /// the gate, and the empty pool. Costs arrive in parts, as the
+    /// verifiers sum them, and each evaluation stops at the limit the
+    /// pick passes it.
+    #[test]
+    fn bounded_pick_matches_the_unbounded_first_argmin() {
+        // Cases seen: [tied minimum, all over the gate, minimum at the
+        // gate, empty pool].
+        let mut seen = [0u32; 4];
+        for case in 0..512u64 {
+            let mut rng = SplitMix64::new(case);
+            let n = rng.range(0..10) as usize;
+            let mut parts: Vec<Vec<u64>> = Vec::with_capacity(n);
+            for i in 0..n {
+                if i > 0 && rng.gen_bool(0.3) {
+                    let copy = parts[rng.range(0..i as u64) as usize].clone();
+                    parts.push(copy);
+                } else {
+                    parts.push((0..rng.range(1..5)).map(|_| rng.range(0..40)).collect());
+                }
+            }
+            let costs: Vec<u64> = parts.iter().map(|p| p.iter().sum()).collect();
+            let min = costs.iter().min().copied();
+            let gate = match (rng.range(0..3), min) {
+                (0, Some(m)) => m,
+                (1, Some(m)) if m > 0 => rng.range(0..m),
+                _ => rng.range(0..160),
+            };
+            let got = bounded_pick(n, gate, |i, limit| {
+                assert!(
+                    limit <= gate + 1,
+                    "case {case}: limit {limit} past the gate"
+                );
+                let mut sum = 0;
+                for &part in &parts[i] {
+                    sum += part;
+                    if sum >= limit {
+                        break;
+                    }
+                }
+                sum
+            });
+            assert_eq!(got, bounded_pick_reference(&costs, gate), "case {case}");
+            match min {
+                None => seen[3] += 1,
+                Some(m) if m > gate => seen[1] += 1,
+                Some(m) => {
+                    seen[2] += u32::from(m == gate);
+                    seen[0] += u32::from(costs.iter().filter(|&&c| c == m).count() > 1);
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&c| c > 0),
+            "an edge case never occurred: {seen:?}"
+        );
+    }
+
+    /// An empty candidate pool fails verification in both modes, as the
+    /// full per-block pick did before it was bounded.
+    #[test]
+    fn empty_candidate_pool_fails_verification() {
+        use coldboot_dram::retention::BitChannel;
+        let master: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(13) ^ 0x77);
+        let keys = test_keys();
+        let (dump, ground, candidates) = decayed_dump(192, &master, &keys, 0.02, 9);
+        let channel = SearchConfig {
+            reconstruct: Some(ReconstructConfig::new(
+                BitChannel::from_decay_fraction(0.02),
+                ground,
+            )),
+            ..SearchConfig::default()
+        };
+        for config in [SearchConfig::default(), channel] {
+            let outcome = search_dump(&dump, &candidates, &config);
+            assert_eq!(
+                outcome.recovered.len(),
+                1,
+                "{:?}",
+                config.reconstruct.is_some()
+            );
+            let hit = &outcome.recovered[0].hit;
+            assert!(verify_and_recover(&dump, &candidates, hit, &config).is_some());
+            assert!(verify_and_recover(&dump, &[], hit, &config).is_none());
         }
     }
 
@@ -3190,76 +3533,211 @@ mod tests {
         use super::*;
         use coldboot_dram::retention::BitChannel;
 
-        /// Seeded cases; case `i` draws from `SplitMix64::new(i)`.
+        /// Seeded cases of the original input kind; case `i` draws from
+        /// `SplitMix64::new(i)`.
         const CASES: u64 = 48;
+        /// Seeded cases of each added input kind, drawn from
+        /// `SplitMix64::new(CASES + i)` (low-popcount fill) and
+        /// `SplitMix64::new(CASES + EXTRA + i)` (heavy decay).
+        const EXTRA: u64 = 12;
+        /// Fill bytes of one or two set bits.
+        const LOW_FILLS: [u8; 6] = [0x01, 0x02, 0x10, 0x80, 0x03, 0x11];
+        /// The heavier decay level of the heavy-decay kind.
+        const HEAVY_DECAY: f64 = 0.40;
 
-        /// The table-driven channel sweep appends exactly the hits of
-        /// the direct residual evaluation, field for field and block
-        /// by block (so verification cost stays out of the test):
-        /// over decayed images with zero-fill blocks left in, which
-        /// descramble to near-zero spans under their own key; 1–8
-        /// candidates; every key-size subset; both start steps. Three
-        /// cases in four run the default {AES-256, AES-128} with
-        /// exhaustive offsets off.
-        #[test]
-        fn channel_sweep_matches_reference() {
-            for case in 0..CASES {
-                let mut rng = SplitMix64::new(case);
-                let pre = rng.range(0..320) as usize;
-                let master_len = [16u8, 24, 32][rng.range(0..3) as usize];
-                let keys: Vec<[u8; 64]> = (0..rng.range(1..9)).map(|_| rng.bytes()).collect();
-                let scramblers = rng.range(1..5) as usize;
-                let zeroed: Vec<bool> = (0..12).map(|_| rng.gen_bool(0.5)).collect();
-                let decay = rng.range_f64(0.02..0.30);
-                let seed = rng.next_u64();
-                let (size_mask, exhaustive) = if rng.gen_bool(0.75) {
-                    (0b101usize, false)
-                } else {
-                    (rng.range(1..8) as usize, rng.gen_bool(0.5))
-                };
-                let master: Vec<u8> = (0..master_len).map(|i| i.wrapping_mul(29) ^ 0xC3).collect();
-                let scramblers = &keys[..scramblers.min(keys.len())];
-                let (dump, _) = build_dump(pre, &master, scramblers);
-                let mut image = dump.bytes().to_vec();
-                let fill = zeroed.iter().enumerate().filter(|&(_, &z)| z).map(|(b, _)| b);
-                zero_fill(&mut image, scramblers, fill.filter(|&b| b < dump.len_blocks()));
-                let (dump, ground) = decay_toward_ground(&MemoryDump::new(image, 0), decay, seed);
-                let candidates: Vec<CandidateKey> = keys
-                    .iter()
-                    .map(|k| CandidateKey { key: *k, observations: 1 })
-                    .collect();
-                let key_sizes = [KeySize::Aes256, KeySize::Aes192, KeySize::Aes128]
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(bit, _)| size_mask >> bit & 1 == 1)
-                    .map(|(_, size)| size)
-                    .collect();
-                let config = SearchConfig {
-                    key_sizes,
-                    exhaustive_word_offsets: exhaustive,
-                    reconstruct: Some(ReconstructConfig::new(
-                        BitChannel::from_decay_fraction(decay),
-                        ground,
-                    )),
-                    ..SearchConfig::default()
-                };
-                let rc = config.reconstruct.as_ref().unwrap();
-                let key_words: Vec<[u32; BLOCK_BYTES / 4]> =
-                    candidates.iter().map(|c| block_words(&c.key)).collect();
-                let sweep = ChannelSweep::new(rc, &config);
-                let mut acc = SweepAcc::default();
-                for i in 0..dump.len_blocks() {
-                    acc.hits.clear();
-                    scan_block_channel(&dump, &candidates, &key_words, &sweep, i, i, &mut acc);
-                    let mut want = Vec::new();
-                    scan_block_channel_reference(
-                        &dump, &candidates, &key_words, rc, &config, i, &mut want,
-                    );
-                    assert!(acc.hits.iter().all(|&(p, _)| p == i), "case {case}");
-                    let got: Vec<ScheduleHit> = acc.hits.iter().map(|(_, h)| h.clone()).collect();
-                    assert_eq!(got, want, "case {case}: block {i}");
+        /// What the filler blocks of a case hold.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Kind {
+            /// Zero fill, decay in 0.02–0.30: each fill block descrambles
+            /// to a near-zero span under its own key.
+            Zero,
+            /// Constant fill of a low-popcount byte, with fill variants
+            /// (key XOR another low-popcount byte) among the candidates:
+            /// under the plain key or a variant, a fill block leaves a
+            /// small, nonzero identity residual near the phase budgets.
+            LowFill,
+            /// Zero fill at [`HEAVY_DECAY`].
+            Heavy,
+        }
+
+        /// Builds case `case` of `kind`: the decayed dump, the candidates
+        /// and the configuration.
+        fn case_input(case: u64, kind: Kind) -> (MemoryDump, Vec<CandidateKey>, SearchConfig) {
+            let mut rng = SplitMix64::new(case);
+            let pre = rng.range(0..320) as usize;
+            let master_len = [16u8, 24, 32][rng.range(0..3) as usize];
+            let keys: Vec<[u8; 64]> = (0..rng.range(1..9)).map(|_| rng.bytes()).collect();
+            let scramblers = rng.range(1..5) as usize;
+            let zeroed: Vec<bool> = (0..12).map(|_| rng.gen_bool(0.5)).collect();
+            let decay = rng.range_f64(0.02..0.30);
+            let seed = rng.next_u64();
+            let (size_mask, exhaustive) = if rng.gen_bool(0.75) {
+                (0b101usize, false)
+            } else {
+                (rng.range(1..8) as usize, rng.gen_bool(0.5))
+            };
+            let decay = if kind == Kind::Heavy {
+                HEAVY_DECAY
+            } else {
+                decay
+            };
+            let fill = if kind == Kind::LowFill {
+                LOW_FILLS[rng.range(0..LOW_FILLS.len() as u64) as usize]
+            } else {
+                0
+            };
+            let master: Vec<u8> = (0..master_len).map(|i| i.wrapping_mul(29) ^ 0xC3).collect();
+            let scramblers = &keys[..scramblers.min(keys.len())];
+            let (dump, _) = build_dump(pre, &master, scramblers);
+            let mut image = dump.bytes().to_vec();
+            let filled = zeroed
+                .iter()
+                .enumerate()
+                .filter(|&(_, &z)| z)
+                .map(|(b, _)| b);
+            for b in filled.filter(|&b| b < dump.len_blocks()) {
+                let key = &scramblers[b % scramblers.len()];
+                for (x, k) in image[64 * b..64 * (b + 1)].iter_mut().zip(key) {
+                    *x = k ^ fill;
                 }
             }
+            let (dump, ground) = decay_toward_ground(&MemoryDump::new(image, 0), decay, seed);
+            let mut candidates: Vec<CandidateKey> = keys
+                .iter()
+                .map(|k| CandidateKey {
+                    key: *k,
+                    observations: 1,
+                })
+                .collect();
+            if kind == Kind::LowFill {
+                for k in &keys {
+                    let variant = LOW_FILLS[rng.range(0..LOW_FILLS.len() as u64) as usize];
+                    candidates.push(CandidateKey {
+                        key: from_fn(|j| k[j] ^ variant),
+                        observations: 1,
+                    });
+                }
+            }
+            let key_sizes = [KeySize::Aes256, KeySize::Aes192, KeySize::Aes128]
+                .into_iter()
+                .enumerate()
+                .filter(|&(bit, _)| size_mask >> bit & 1 == 1)
+                .map(|(_, size)| size)
+                .collect();
+            let config = SearchConfig {
+                key_sizes,
+                exhaustive_word_offsets: exhaustive,
+                reconstruct: Some(ReconstructConfig::new(
+                    BitChannel::from_decay_fraction(decay),
+                    ground,
+                )),
+                ..SearchConfig::default()
+            };
+            (dump, candidates, config)
+        }
+
+        /// How far a (descrambled block, candidate) pair's identity bound
+        /// lies above its nearest budget, in milli-nats: the minimum over
+        /// key sizes, window offsets and reachable start phases of the
+        /// priced identity-residual popcount minus the phase budget,
+        /// evaluated directly on the descrambled words. The sweep runs its
+        /// tables for the pair exactly when this is at most zero.
+        fn identity_slack(desc: &[u32; BLOCK_BYTES / 4], sweep: &ChannelSweep) -> i64 {
+            let mut slack = i64::MAX;
+            for cs in &sweep.sizes {
+                let nk = cs.size.nk();
+                for &ph in &cs.phases {
+                    for oi in 0..LITMUS_OFFSETS {
+                        let bits: u32 = (0..cs.extend)
+                            .filter(|&e| residual_kind(nk, ph + e) == RES_IDENT)
+                            .map(|e| {
+                                let j = oi + nk + e;
+                                (desc[j] ^ desc[j - nk] ^ desc[j - 1]).count_ones()
+                            })
+                            .sum();
+                        let cost = u64::from(bits) * sweep.price[RES_IDENT];
+                        slack = slack.min(cost as i64 - cs.budgets[ph] as i64);
+                    }
+                }
+            }
+            slack
+        }
+
+        /// Checks one case block by block and returns how many of its
+        /// (block, candidate) pairs have an identity bound within two bits
+        /// of a budget: `[at or under it, over it]`.
+        fn check_case(case: u64, kind: Kind) -> [u32; 2] {
+            let (dump, candidates, config) = case_input(case, kind);
+            let rc = config.reconstruct.as_ref().unwrap();
+            let pool = CandidatePool::new(&candidates, &config.key_sizes);
+            let sweep = ChannelSweep::new(rc, &config);
+            let edge = 2 * sweep.price[RES_IDENT] as i64;
+            let mut near = [0u32; 2];
+            let mut acc = SweepAcc::default();
+            for i in 0..dump.len_blocks() {
+                acc.hits.clear();
+                scan_block_channel(&dump, &pool, &sweep, i, i, &mut acc);
+                let mut want = Vec::new();
+                scan_block_channel_reference(
+                    &dump,
+                    &candidates,
+                    &pool.words,
+                    rc,
+                    &config,
+                    i,
+                    &mut want,
+                );
+                assert!(acc.hits.iter().all(|&(p, _)| p == i), "case {case}");
+                let got: Vec<ScheduleHit> = acc.hits.iter().map(|(_, h)| h.clone()).collect();
+                assert_eq!(got, want, "case {case}: block {i}");
+                let block_w = block_words(dump.block(i));
+                for (ci, kw) in pool.words.iter().enumerate() {
+                    let desc = from_fn(|j| block_w[j] ^ kw[j]);
+                    let slack = identity_slack(&desc, &sweep);
+                    if slack > 0 {
+                        assert!(
+                            want.iter().all(|h| h.scrambler_key != candidates[ci].key),
+                            "case {case}: block {i}: a pair over every budget has hits"
+                        );
+                    }
+                    if (-edge..=0).contains(&slack) {
+                        near[0] += 1;
+                    } else if (1..=edge).contains(&slack) {
+                        near[1] += 1;
+                    }
+                }
+            }
+            near
+        }
+
+        /// The table-driven channel sweep, with its identity bound,
+        /// appends exactly the hits of the direct residual evaluation,
+        /// field for field and block by block (so verification cost stays
+        /// out of the test): over decayed images with zero-fill blocks
+        /// left in, which descramble to near-zero spans under their own
+        /// key; 1–8 candidates; every key-size subset; both start steps.
+        /// Three cases in four run the default {AES-256, AES-128} with
+        /// exhaustive offsets off. Two added input kinds reach the bound's
+        /// edge: low-popcount constant fill with fill-variant candidates,
+        /// and zero fill at d = 0.40. Across the cases, pairs whose
+        /// identity bound lies within two bits of a budget occur on both
+        /// sides of it, so the boundary itself is exercised.
+        #[test]
+        fn channel_sweep_matches_reference() {
+            let mut near = [0u32; 2];
+            let cases = (0..CASES)
+                .map(|c| (c, Kind::Zero))
+                .chain((CASES..CASES + EXTRA).map(|c| (c, Kind::LowFill)))
+                .chain((CASES + EXTRA..CASES + 2 * EXTRA).map(|c| (c, Kind::Heavy)));
+            for (case, kind) in cases {
+                let [under, over] = check_case(case, kind);
+                near[0] += under;
+                near[1] += over;
+            }
+            assert!(
+                near[0] > 0 && near[1] > 0,
+                "no pair within two bits of a budget on both sides: {near:?}"
+            );
         }
     }
 

@@ -127,6 +127,28 @@ pub fn residual_channels(d: f64) -> (BitChannel, BitChannel) {
     )
 }
 
+// Residual kinds, set by the phase `idx % Nk` of the schedule word a
+// residual `w[idx] ^ w[idx−Nk] ^ f(w[idx−1])` checks.
+/// `f` is the identity: the residual is linear in the words, so for a
+/// descrambled block it is a block residual XOR a key residual.
+pub(crate) const RES_IDENT: usize = 0;
+/// `f` is `SubWord` (AES-256 at `idx % 8 == 4`).
+pub(crate) const RES_SUB: usize = 1;
+/// `f` is `SubWord ∘ RotWord` plus Rcon (`idx % Nk == 0`).
+pub(crate) const RES_RCON: usize = 2;
+
+/// Residual kind of schedule word `idx` for a key of `nk` words: the one
+/// definition of which words are identity steps and which transform
+/// steps, shared by the channel sweep, channel verification and the
+/// residual descent.
+pub(crate) fn residual_kind(nk: usize, idx: usize) -> usize {
+    match idx % nk {
+        0 => RES_RCON,
+        4 if nk > 6 => RES_SUB,
+        _ => RES_IDENT,
+    }
+}
+
 /// Combined accept budget for a residual span mixing `id_bits`
 /// identity-phase and `sb_bits` transform-phase residual bits: the
 /// expected cost plus a 3σ margin taken in quadrature across both
@@ -231,6 +253,8 @@ pub struct ReconstructTally {
     pub pruned: u64,
     /// Observation bits the accepted corrections flipped back.
     pub corrected_bits: u64,
+    /// Branch-and-bound invocations ([`correct_schedule`] calls).
+    pub corrections: u64,
 }
 
 impl ReconstructTally {
@@ -239,6 +263,7 @@ impl ReconstructTally {
         self.expanded += other.expanded;
         self.pruned += other.pruned;
         self.corrected_bits += other.corrected_bits;
+        self.corrections += other.corrections;
     }
 }
 
@@ -443,11 +468,10 @@ fn residual_descent(obs: &ScheduleObservation, channel: &BitChannel) -> Vec<u32>
     let c_tg = i64::from(channel.to_ground_millinats);
     let mut s: Vec<u32> = obs.words.clone();
     let phase_cost = |i: usize| {
-        let m = i % nk;
-        if m == 0 || (nk > 6 && m == 4) {
-            c_tr
-        } else {
+        if residual_kind(nk, i) == RES_IDENT {
             c_id
+        } else {
+            c_tr
         }
     };
     let scored = |i: usize| {
@@ -563,6 +587,7 @@ pub fn correct_schedule(
     if obs.words.len() != total || obs.toward_ground.len() != total || obs.counted.len() != total {
         return None;
     }
+    tally.corrections += 1;
 
     let mut sched = vec![0u32; total];
 

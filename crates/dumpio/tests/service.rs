@@ -476,6 +476,7 @@ fn stats_verb_reports_scan_counters_after_a_job() {
     let before = client.stats();
     assert_eq!(counter(&before, "jobs_submitted"), 0);
     assert_eq!(counter(&before, "mine_blocks"), 0);
+    assert_eq!(counter(&before, "search_corrector_runs"), 0);
 
     let id = client.submit(vec![
         ("kind", Json::Str("mine".into())),

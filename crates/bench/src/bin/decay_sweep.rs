@@ -108,9 +108,12 @@ fn main() {
     );
     println!(
         "\nShape: key mining survives everywhere the DIMM was frozen \
-         (majority voting repairs decayed keys), but the default AES search \
-         needs a clean 32-byte expansion window, which runs out around \
-         ~1% bit error. SearchConfig::deep() (--deep) pushes the envelope \
-         through ~1.5% at ~10x scan cost. Without freezing, nothing survives."
+         (majority voting repairs decayed keys). The default AES search \
+         needs a litmus hit in one 48-byte window, then corrects the \
+         schedule's decayed words from its redundancy during verification: \
+         both schedules come back through ~1.5% bit error after a 5 s \
+         transfer. SearchConfig::deep() (--deep) widens the litmus \
+         tolerance and also covers the 15 s transfer at several times the \
+         scan cost. Without freezing, nothing survives."
     );
 }

@@ -168,8 +168,8 @@ impl MemoryDump {
 
 /// XOR of two 64-byte blocks — the descramble primitive.
 ///
-/// Shared by the AES key search, the DDR3 universal-key pipeline, and the
-/// §III-A analysis framework, all of which used to hand-roll this loop.
+/// Shared by the DDR3 universal-key pipeline and the §III-A analysis
+/// framework, which used to hand-roll this loop.
 #[inline]
 pub fn xor_block(a: &[u8; BLOCK_BYTES], b: &[u8; BLOCK_BYTES]) -> [u8; BLOCK_BYTES] {
     let mut out = [0u8; BLOCK_BYTES];

@@ -14,25 +14,26 @@
 //! All comparisons use Hamming distance, making the search resilient to
 //! the bit decay incurred while the frozen DIMM was in transit.
 
-use crate::dump::{xor_block, MemoryDump};
+use crate::dump::MemoryDump;
 use crate::litmus::CandidateKey;
 use crate::reconstruct::{
     correct_schedule, residual_budget_pair, residual_kind, Correction, FlipCounts,
     ReconstructConfig, ReconstructTally, ScheduleObservation, RES_IDENT, RES_RCON, RES_SUB,
 };
 use crate::scan::{self, EngineMetrics, ScanOptions};
-use coldboot_crypto::aes::key_schedule::{expansion_step, rcon, KeySchedule};
+use coldboot_crypto::aes::key_schedule::{expansion_step, rcon};
 // Re-exported because `ScheduleHit`/`RecoveredAesKey` expose it in public
 // fields: downstream crates (the dumpio wire codec, the cluster
 // coordinator) can name the type without a direct crypto dependency.
 pub use coldboot_crypto::aes::key_schedule::KeySize;
 use coldboot_crypto::aes::sbox::{rot_word, sbox_bitsliced, sub_word};
+use coldboot_dram::retention::BitChannel;
 use coldboot_dram::BLOCK_BYTES;
 use coldboot_metrics::{Counter, Histogram, MetricsRegistry, Span};
 use std::array::from_fn;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How many bytes of a block a single litmus trial covers (three
 /// consecutive round keys).
@@ -51,9 +52,6 @@ pub struct SearchConfig {
     pub key_sizes: Vec<KeySize>,
     /// Hamming budget (bits) for the single-block expansion check.
     pub block_tolerance_bits: u32,
-    /// Hamming budget (bits) for full-schedule verification against
-    /// neighbouring blocks.
-    pub schedule_tolerance_bits: u32,
     /// Worker threads for the scan. Defaults to every available core
     /// ([`scan::default_threads`]); set `1` to run inline on the caller's
     /// thread. The result is byte-identical for any value — the scan engine
@@ -70,12 +68,15 @@ pub struct SearchConfig {
     /// descrambles them anywhere near the prediction). A key id can be
     /// missing when no zero-filled block with that id existed in the dump.
     pub max_unexplained_blocks: u32,
-    /// Channel-aware scoring and branch-and-bound key-schedule
-    /// reconstruction ([`crate::reconstruct`]). `None` (the default)
-    /// preserves the historical symmetric-Hamming pipeline bit for bit;
+    /// Channel-aware scoring against a ground read ([`crate::reconstruct`]).
+    /// `None` (the default) is raw mode: the Hamming-distance litmus
+    /// sweep, with each hit's span verified by the channel verifier under
+    /// a fixed symmetric channel (decay fraction 0.02, no branch-and-bound
+    /// pops) in which the dump is its own ground view.
     /// `Some` replaces the litmus scan with residual-channel scoring and
-    /// verification with decay-direction-aware correction, opening the
-    /// heavy-decay regimes where raw distance recovers nothing.
+    /// verifies under the configured decay channel against the ground
+    /// read, opening the heavy-decay regimes where raw distance recovers
+    /// nothing.
     pub reconstruct: Option<ReconstructConfig>,
 }
 
@@ -88,10 +89,6 @@ impl Default for SearchConfig {
             // prediction by at least popcount(Rcon_a ^ Rcon_b) x 4 >= 8
             // bits, so 6 rejects them while tolerating ~3 decayed bits.
             block_tolerance_bits: 6,
-            // Well above realistic transit decay (~10-30 bits across a
-            // 240-byte schedule) and below the ~150-bit floor of
-            // shifted-schedule false reconstructions.
-            schedule_tolerance_bits: 96,
             threads: scan::default_threads(),
             region: None,
             exhaustive_word_offsets: false,
@@ -104,18 +101,19 @@ impl Default for SearchConfig {
 impl SearchConfig {
     /// A slower, decay-hardened configuration: roughly 10× the scan cost of
     /// the default, in exchange for tolerating several bit flips inside the
-    /// expansion window itself. Measured on the −25 °C / 5 s / nominal-module
-    /// scenario (≈1.5 % bit error) where the default search recovers only
-    /// one of the two XTS schedules, this preset recovers both.
+    /// litmus window itself, so a schedule with no clean window still
+    /// yields hits. Only the block tolerance differs from the default:
+    /// verification, which corrects decayed schedule words from the
+    /// schedule's redundancy, is the same. On the −25 °C / 15 s transfer
+    /// of a retentive module (≈1.6 % bit error) the default search
+    /// recovers one of the two XTS schedules and this preset both.
     ///
     /// The wider block tolerance admits the structurally-misplaced matches
-    /// the default tolerance excludes, so this preset leans on full-schedule
-    /// verification and overlap-aware deduplication to sort them out — which
-    /// is also why its schedule budget is higher.
+    /// the default tolerance excludes, so this preset leans on span
+    /// verification and overlap-aware deduplication to sort them out.
     pub fn deep() -> Self {
         Self {
             block_tolerance_bits: 20,
-            schedule_tolerance_bits: 200,
             ..Self::default()
         }
     }
@@ -143,13 +141,13 @@ pub struct SearchMetrics {
     /// (`search_verify_rejects`).
     pub verify_rejects: Arc<Counter>,
     /// Hits that took the outcome of an earlier verification of the same
-    /// schedule span instead of running their own (`search_verify_reused`).
-    /// Only channel mode reuses; see [`StreamSearcher`].
+    /// schedule span instead of running their own (`search_verify_reused`);
+    /// see [`StreamSearcher`].
     pub verify_reused: Arc<Counter>,
-    /// Channel verification runs that reached the branch-and-bound
-    /// corrector (`search_corrector_runs`): runs whose span passed the
-    /// residual gate that opens verification. At most the run count
-    /// (`search_reconstruct_us`'s sample count); zero in raw mode.
+    /// Verification runs that reached the branch-and-bound corrector
+    /// (`search_corrector_runs`): runs whose span passed the residual gate
+    /// that opens verification. At most the run count
+    /// (`search_reconstruct_us`'s sample count).
     pub corrector_runs: Arc<Counter>,
     /// Verifications that produced a recovery, before overlap dedup
     /// (`search_recoveries`).
@@ -173,11 +171,10 @@ pub struct SearchMetrics {
     /// Observation bits flipped back by accepted corrections
     /// (`search_corrected_bits`).
     pub corrected_bits: Arc<Counter>,
-    /// Reconstruction verification latency in microseconds
-    /// (`search_reconstruct_us`), one sample per verification run, so
-    /// `count() + verify_reused == hits` with reconstruction on. Observed
-    /// on the verify workers: spans verify in parallel, so a job's sum of
-    /// samples can exceed its wall time.
+    /// Verification latency in microseconds (`search_reconstruct_us`),
+    /// one sample per verification run, so `count() + verify_reused ==
+    /// hits`. Observed on the verify workers: spans verify in parallel, so
+    /// a job's sum of samples can exceed its wall time.
     pub reconstruct_us: Arc<Histogram>,
     /// Scan-engine counters for the block sweep (`search_scan_*`);
     /// `search_scan_items` counts swept blocks only.
@@ -542,13 +539,14 @@ fn litmus_offset(
 /// Verifies a hit against the rest of its schedule and recovers the master
 /// key.
 ///
-/// Reconstructs the full schedule from the hit window (forward and backward
-/// through the recurrence), locates the schedule's address range, and for
-/// every overlapped dump block picks the candidate scrambler key whose
-/// descrambling lies closest to the prediction. If the total distance is
-/// within budget the recovery is accepted; otherwise a noisy-schedule
-/// recovery pass (`KeySchedule::recover_from_noisy`) is attempted on the
-/// assembled bytes.
+/// The hit only places a span, `(schedule_addr(), key_size)`: the channel
+/// verifier picks each overlapped block's scrambler candidate by its
+/// within-block recurrence residual, corrects the assembled span from the
+/// key schedule's redundancy, and accepts under the channel's span budget
+/// (see `verify_channel`). In raw mode (`config.reconstruct` off) the
+/// channel is a fixed symmetric one (`RAW_DECAY_FRACTION`,
+/// `RAW_WORK_BUDGET`), with the dump as its own ground view; with
+/// reconstruction on it is the configured channel and ground read.
 pub fn verify_and_recover(
     dump: &MemoryDump,
     candidates: &[CandidateKey],
@@ -559,13 +557,11 @@ pub fn verify_and_recover(
 }
 
 /// [`verify_and_recover`] with an explicit work tally: branch-and-bound
-/// counters accumulate into `tally` when `config.reconstruct` is enabled
-/// (the tally is untouched otherwise).
+/// counters accumulate into `tally`.
 ///
-/// With `config.reconstruct` enabled the outcome depends on the hit only
-/// through its span, `(schedule_addr(), key_size)`, apart from the `hit`
-/// field it is returned with; without it, the schedule is rebuilt from
-/// the hit's own window, so two hits on one span can verify differently.
+/// The outcome depends on the hit only through its span,
+/// `(schedule_addr(), key_size)`, apart from the `hit` field it is
+/// returned with.
 pub fn verify_and_recover_with(
     dump: &MemoryDump,
     candidates: &[CandidateKey],
@@ -577,8 +573,44 @@ pub fn verify_and_recover_with(
     verify_hit(dump, &pool, hit, config, tally)
 }
 
+/// The charged-bit decay fraction of raw mode's verification channel.
+///
+/// Raw mode has no ground read, so the dump serves as its own ground view
+/// and every mismatch is priced as a decay flip: the channel is symmetric,
+/// and this fraction sets its per-bit price and its span budget (about
+/// 46 bits over a fully counted AES-256 schedule). It is a constant, not
+/// a capture's decay estimate, so streamed and in-memory searches verify
+/// alike: CBDF metadata is not always there, and where it is it may
+/// describe a room-temperature capture. At 0.02 the budget sits well
+/// above the 7–15 bits a true schedule carries after the paper's
+/// −25 °C / 5 s transfer (~0.5 % bit error) and above most of the 15–37
+/// at 1.5 %.
+const RAW_DECAY_FRACTION: f64 = 0.02;
+
+/// The corrector's work budget in raw mode: 0, so verification runs the
+/// corrector's roots and its residual descent but pops no
+/// branch-and-bound node. At raw mode's light decay the descent-polished
+/// windows reach the true schedule: the default budget gave the same
+/// both-key recall on the −25 °C volume scenarios, while every span it
+/// rejects pops up to [`crate::reconstruct::STALL_LIMIT`] nodes first.
+const RAW_WORK_BUDGET: u32 = 0;
+
+/// Raw mode's verification channel: [`RAW_DECAY_FRACTION`] with
+/// [`RAW_WORK_BUDGET`]. Its `ground` is empty and never read, because raw
+/// verification passes the dump itself as the ground view.
+fn raw_channel() -> &'static ReconstructConfig {
+    static RAW: OnceLock<ReconstructConfig> = OnceLock::new();
+    RAW.get_or_init(|| ReconstructConfig {
+        work_budget: RAW_WORK_BUDGET,
+        ..ReconstructConfig::new(
+            BitChannel::from_decay_fraction(RAW_DECAY_FRACTION),
+            Arc::new(MemoryDump::new(Vec::new(), 0)),
+        )
+    })
+}
+
 /// [`verify_and_recover_with`] over a prepared [`CandidatePool`], which
-/// must hold residuals for `hit.key_size` in channel mode.
+/// must hold residuals for `hit.key_size`.
 fn verify_hit(
     dump: &MemoryDump,
     pool: &CandidatePool,
@@ -586,133 +618,35 @@ fn verify_hit(
     config: &SearchConfig,
     tally: &mut ReconstructTally,
 ) -> Option<RecoveredAesKey> {
-    // No candidate explains any block: every path below would fail at its
-    // first candidate pick, or select nothing.
+    // No candidate explains any block: every block's pick would select
+    // nothing.
     if pool.keys.is_empty() {
         return None;
     }
-    if let Some(rc) = &config.reconstruct {
-        let size = hit.key_size;
-        let schedule_addr = hit.schedule_addr()?;
-        let (unexplained, fin) =
-            verify_channel(dump, pool, schedule_addr, size, config, rc, tally)?;
-        return Some(RecoveredAesKey {
-            key_size: size,
-            master_key: fin.schedule[..size.nk()]
-                .iter()
-                .flat_map(|w| w.to_be_bytes())
-                .collect(),
-            schedule_addr,
-            total_error_bits: fin.flips.total(),
-            unexplained_blocks: unexplained,
-            cost_millinats: Some(fin.cost_millinats),
-            flips: Some(fin.flips),
-            hit: hit.clone(),
-        });
-    }
+    let (rc, ground) = match &config.reconstruct {
+        Some(rc) => (rc, rc.ground.as_ref()),
+        None => (raw_channel(), dump),
+    };
     let size = hit.key_size;
-    let block_idx = dump.block_index_of(hit.block_addr)?;
-    let descrambled = xor_block(dump.block(block_idx), &hit.scrambler_key);
-    let span = &descrambled[hit.window_offset..hit.window_offset + TEST_SPAN];
-    let window: Vec<u32> = span[..size.nk() * 4]
-        .chunks_exact(4)
-        .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    let schedule = KeySchedule::reconstruct(size, &window, hit.start_word)?;
-    let predicted = schedule.to_bytes();
-
     let schedule_addr = hit.schedule_addr()?;
-    let len = size.schedule_len();
-    // The whole schedule must lie inside the dump.
-    dump.slice_at(schedule_addr, len)?;
-
-    // Assemble the observed schedule, choosing the best scrambler key per
-    // block. Blocks that no candidate explains at all (their key id never
-    // surfaced on a zero block, so it was never mined) are counted rather
-    // than summed: a genuine schedule has at most a couple of those, while
-    // a bogus reconstruction has nothing but.
-    let mut observed = vec![0u8; len];
-    let mut total_error = 0u32;
-    let mut unexplained = 0u32;
-    let mut cursor = schedule_addr;
-    let end = schedule_addr + len as u64;
-    while cursor < end {
-        let block_base = cursor & !(BLOCK_BYTES as u64 - 1);
-        let in_block = (cursor - block_base) as usize;
-        let at = (cursor - schedule_addr) as usize;
-        let take = (len - at).min(BLOCK_BYTES - in_block);
-        let idx = dump.block_index_of(block_base)?;
-        let seen = &dump.block(idx)[in_block..in_block + take];
-        let pred_slice = &predicted[at..][..take];
-        // Decayed-but-correct keys land within a few percent of the
-        // prediction; a missing key leaves ~50% of bits wrong. A third of
-        // the compared bits separates the two regimes cleanly.
-        let gate = take as u64 * 8 / 3;
-        let best = bounded_pick(pool.keys.len(), gate, |ci, limit| {
-            let key = &pool.keys[ci].key[in_block..in_block + take];
-            let mut dist = 0u64;
-            for ((s, k), p) in seen.chunks(8).zip(key.chunks(8)).zip(pred_slice.chunks(8)) {
-                dist += u64::from((lane(s) ^ lane(k) ^ lane(p)).count_ones());
-                if dist >= limit {
-                    break;
-                }
-            }
-            dist
-        });
-        match best {
-            None => {
-                unexplained += 1;
-                if unexplained > config.max_unexplained_blocks {
-                    return None;
-                }
-                // Neutral fill so the noisy-recovery pass below is not
-                // poisoned by a block we know we cannot descramble.
-                observed[at..][..take].copy_from_slice(pred_slice);
-            }
-            Some((dist, ci)) => {
-                let key = &pool.keys[ci].key[in_block..in_block + take];
-                for ((o, s), k) in observed[at..][..take].iter_mut().zip(seen).zip(key) {
-                    *o = s ^ k;
-                }
-                total_error += dist as u32;
-            }
-        }
-        cursor = block_base + BLOCK_BYTES as u64;
-    }
-
-    // The hit window itself may have carried decayed bits that the forward
-    // expansion check never consumed (the check only exercises part of the
-    // window), silently corrupting the reconstruction. Always attempt an
-    // error-corrected recovery over the assembled observation as well, and
-    // keep whichever explanation of the observed bytes is closer.
-    let mut best_key = schedule.master_key();
-    let mut best_dist = total_error;
-    if best_dist > 0 {
-        if let Some((repaired, dist)) = KeySchedule::recover_from_noisy(size, &observed) {
-            if dist < best_dist {
-                best_key = repaired.master_key();
-                best_dist = dist;
-            }
-        }
-    }
-    (best_dist <= config.schedule_tolerance_bits).then(|| RecoveredAesKey {
+    let (unexplained, fin) =
+        verify_channel(dump, ground, pool, schedule_addr, size, config, rc, tally)?;
+    // Raw recoveries report no channel fields: under the symmetric channel
+    // the cost and the flip split only restate `total_error_bits`.
+    let priced = config.reconstruct.is_some();
+    Some(RecoveredAesKey {
         key_size: size,
-        master_key: best_key,
+        master_key: fin.schedule[..size.nk()]
+            .iter()
+            .flat_map(|w| w.to_be_bytes())
+            .collect(),
         schedule_addr,
-        total_error_bits: best_dist,
+        total_error_bits: fin.flips.total(),
         unexplained_blocks: unexplained,
-        cost_millinats: None,
-        flips: None,
+        cost_millinats: priced.then_some(fin.cost_millinats),
+        flips: priced.then_some(fin.flips),
         hit: hit.clone(),
     })
-}
-
-/// Up to eight bytes as one little-endian word, zero-padded.
-#[inline]
-fn lane(bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    word[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(word)
 }
 
 /// The first of `n` candidates with the lowest cost, if that cost is at
@@ -837,8 +771,11 @@ impl CandidatePool {
     }
 }
 
-/// Channel-aware verification (the `config.reconstruct` path of
-/// [`verify_and_recover_with`]), in three stages:
+/// Channel-aware verification of the span `[schedule_addr, schedule_addr +
+/// size.schedule_len())`, for [`verify_and_recover_with`] in both modes,
+/// in three stages. `ground` is the ground view the toward-ground masks
+/// come from: the ground read in channel mode, and in raw mode `dump`
+/// itself, which makes every bit toward-ground and the channel symmetric.
 ///
 /// 1. **Residual candidate selection.** Walk every block the schedule
 ///    overlaps and pick the scrambler candidate whose descrambled words
@@ -867,12 +804,14 @@ impl CandidatePool {
 ///    stage-2 prediction; if any joins the counted set the corrector
 ///    re-runs and the budget gate applies to the final cost.
 ///
-/// It reads `dump` only inside `[schedule_addr, schedule_addr +
-/// size.schedule_len())` and sees no hit, so its outcome (the
-/// unexplained-block count and the accepted correction) is a function of
-/// the span, given the candidates and the configuration.
+/// It reads `dump` and `ground` only inside that span and sees no hit,
+/// so its outcome (the unexplained-block count and the accepted
+/// correction) is a function of the span, given the candidates and the
+/// configuration. `rc.ground` is not read.
+#[allow(clippy::too_many_arguments)]
 fn verify_channel(
     dump: &MemoryDump,
+    ground: &MemoryDump,
     pool: &CandidatePool,
     schedule_addr: u64,
     size: KeySize,
@@ -887,7 +826,7 @@ fn verify_channel(
     let key_res = pool.residuals(size)?;
 
     let ground_block = |addr: u64| -> Option<&[u8; BLOCK_BYTES]> {
-        rc.ground.block_index_of(addr).map(|i| rc.ground.block(i))
+        ground.block_index_of(addr).map(|i| ground.block(i))
     };
     let c_id = u64::from(rc.res_ident.to_ground_millinats);
     let c_tr = u64::from(rc.res_sbox.to_ground_millinats);
@@ -1072,7 +1011,7 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
 /// hit; the tuple is a total order over deterministic integers, so the
 /// winner is reproducible across thread counts and shard layouts
 /// (`cost_millinats` is `None`, hence 0, for every entry when
-/// reconstruction is off — historical behavior, bit for bit).
+/// reconstruction is off).
 fn merge_recovery(recovered: &mut Vec<RecoveredAesKey>, rec: RecoveredAesKey) {
     let rec_end = rec.schedule_addr + rec.key_size.schedule_len() as u64;
     let quality = |r: &RecoveredAesKey| {
@@ -1126,7 +1065,7 @@ pub const SCHEDULE_CONTEXT_BLOCKS: usize = 4;
 /// dump, so each such content is swept once per search and every repeat
 /// copies its hits.
 ///
-/// In channel mode a hit's verification depends only on its schedule span,
+/// A hit's verification depends only on its schedule span,
 /// `(schedule_addr(), key_size)` (see [`verify_and_recover_with`]), and
 /// many hits share a span: the blocks of one schedule, and that schedule
 /// shifted by whole round-key pairs. Each span is verified once per
@@ -1158,7 +1097,7 @@ pub struct StreamSearcher {
     started: bool,
     /// Hits (in global block order) awaiting right-hand context.
     pending: VecDeque<ScheduleHit>,
-    /// Channel mode: the outcome of each verified span, keyed by
+    /// The outcome of each verified span, keyed by
     /// `(schedule_addr, key_size)`, with the span's first hit attached.
     /// Kept across pushes; `trim` drops spans below the retained tail.
     spans: HashMap<(u64, KeySize), Option<RecoveredAesKey>>,
@@ -1342,11 +1281,10 @@ impl StreamSearcher {
     /// monotone in block address, so everything behind it waits too).
     ///
     /// The ready hits that need a run are verified in parallel on the scan
-    /// engine, one hit per batch: every hit in raw mode; in channel mode
-    /// the first hit of each span not verified before, plus any hit
-    /// without a span. Verification is a pure function of (view,
-    /// candidates, hit, config) with a tally per run, `scan_collect`
-    /// returns results in hit order, and a hit that reuses gets what its
+    /// engine, one hit per batch: the first hit of each span not verified
+    /// before, plus any hit without a span. Verification is a pure
+    /// function of (view, candidates, hit, config) with a tally per run,
+    /// `scan_collect` returns results in hit order, and a hit that reuses gets what its
     /// own run would return, so the serial fold below — counters, raw
     /// recoveries and the order-sensitive dedup, once per hit — sees
     /// exactly what a one-thread loop verifying every hit would.
@@ -1358,26 +1296,16 @@ impl StreamSearcher {
             .take_while(|h| at_end || h.block_addr + BLOCK_BYTES as u64 + ctx <= self.end_addr)
             .count();
         let hits: Vec<ScheduleHit> = self.pending.drain(..ready).collect();
-        let reconstructing = self.config.reconstruct.is_some();
-        let span_of = |h: &ScheduleHit| {
-            h.schedule_addr()
-                .filter(|_| reconstructing)
-                .map(|addr| (addr, h.key_size))
-        };
+        let span_of = |h: &ScheduleHit| h.schedule_addr().map(|addr| (addr, h.key_size));
         let mut queued = HashSet::new();
         let runs: Vec<usize> = (0..hits.len())
             .filter(|&k| {
                 span_of(&hits[k]).is_none_or(|s| !self.spans.contains_key(&s) && queued.insert(s))
             })
             .collect();
-        // Times only the reconstruction path: the histogram stays empty
-        // (and the off path byte-identical) otherwise. The engine counters
-        // stay off, so `search_scan_items` counts swept blocks only.
-        let latency = self
-            .metrics
-            .as_ref()
-            .filter(|_| reconstructing)
-            .map(|m| m.reconstruct_us.as_ref());
+        // The engine counters stay off, so `search_scan_items` counts
+        // swept blocks only.
+        let latency = self.metrics.as_ref().map(|m| m.reconstruct_us.as_ref());
         let (pool, config) = (&self.pool, &self.config);
         let opts = ScanOptions::with_threads(config.threads).batch_items(1);
         let verified = scan::scan_collect(runs.len(), &opts, |n, out| {
@@ -1393,13 +1321,11 @@ impl StreamSearcher {
             let outcome = match verified.next_if(|&(run, _)| run == k) {
                 Some((_, (outcome, tally))) => {
                     if let Some(metrics) = &self.metrics {
-                        if reconstructing {
-                            metrics.corrector_runs.add(u64::from(tally.corrections > 0));
-                            metrics.reconstruct_expanded.add(tally.expanded);
-                            metrics.reconstruct_pruned.add(tally.pruned);
-                            if outcome.is_some() {
-                                metrics.corrected_bits.add(tally.corrected_bits);
-                            }
+                        metrics.corrector_runs.add(u64::from(tally.corrections > 0));
+                        metrics.reconstruct_expanded.add(tally.expanded);
+                        metrics.reconstruct_pruned.add(tally.pruned);
+                        if outcome.is_some() {
+                            metrics.corrected_bits.add(tally.corrected_bits);
                         }
                     }
                     if let Some(span) = span_of(hit) {
@@ -2765,8 +2691,12 @@ mod tests {
             metrics.recoveries.get() + metrics.verify_rejects.get(),
             "every hit is verified exactly once"
         );
-        assert_eq!(metrics.verify_reused.get(), 0, "raw mode runs every hit");
-        assert_eq!(metrics.corrector_runs.get(), 0, "raw mode never corrects");
+        assert_eq!(
+            metrics.reconstruct_us.count() + metrics.verify_reused.get(),
+            metrics.hits.get(),
+            "one run per span, every other hit reuses"
+        );
+        assert!(metrics.corrector_runs.get() <= metrics.reconstruct_us.count());
         // Every region block is either swept by the engine or reuses an
         // earlier block's hits.
         assert!(metrics.reused_blocks.get() > 0);

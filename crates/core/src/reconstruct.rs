@@ -486,13 +486,18 @@ fn residual_descent(obs: &ScheduleObservation, channel: &BitChannel) -> Vec<u32>
     // plateaus single flips cannot: two decay flips feeding the same
     // residual bit hide each other, but their joint toggle clears it.
     let try_move = |s: &mut [u32], group: &[usize], bit: u32| -> bool {
-        let mut affected: Vec<usize> = group
-            .iter()
-            .flat_map(|&w| [w, w + 1, w + nk])
-            .filter(|&a| a < total && scored(a))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
+        // The residuals the toggled words feed, each once: at most three
+        // per word of a one- or two-word group, so a stack array holds
+        // them and a move allocates nothing.
+        let mut slots = [0usize; 6];
+        let mut n = 0;
+        for a in group.iter().flat_map(|&w| [w, w + 1, w + nk]) {
+            if a < total && scored(a) && !slots[..n].contains(&a) {
+                slots[n] = a;
+                n += 1;
+            }
+        }
+        let affected = &slots[..n];
         let residual_cost = |s: &[u32]| -> u64 {
             affected
                 .iter()

@@ -55,7 +55,7 @@ fn main() {
         .insert_module(DramModule::with_quality(size, 42, 0.35))
         .unwrap();
     fill_realistic(&mut victim, mix, 7).unwrap();
-    let mounted = MountedVolume::mount(&mut victim, &volume, PASSWORD, KEY_TABLE_ADDR).unwrap();
+    let _mounted = MountedVolume::mount(&mut victim, &volume, PASSWORD, KEY_TABLE_ADDR).unwrap();
     println!(
         "   {} MiB DDR4, scrambler: {}, volume mounted, key table at {:#x}",
         size >> 20,

@@ -26,7 +26,7 @@ use coldboot_crypto::aes::key_schedule::{expansion_step, rcon};
 // fields: downstream crates (the dumpio wire codec, the cluster
 // coordinator) can name the type without a direct crypto dependency.
 pub use coldboot_crypto::aes::key_schedule::KeySize;
-use coldboot_crypto::aes::sbox::{rot_word, sbox_bitsliced, sub_word};
+use coldboot_crypto::aes::sbox::{rot_word, sub_word};
 use coldboot_dram::retention::BitChannel;
 use coldboot_dram::BLOCK_BYTES;
 use coldboot_metrics::{Counter, Histogram, MetricsRegistry, Span};
@@ -60,8 +60,9 @@ pub struct SearchConfig {
     /// Restrict the scan to this physical-address range (cost control on
     /// very large dumps); `None` scans everything.
     pub region: Option<Range<u64>>,
-    /// Try expansion windows at every word position (resilient but ~4×
-    /// slower) instead of only at round-key boundaries.
+    /// Try expansion windows at every word position (resilient, at about
+    /// 2.5× the scan cost on a high-entropy image) instead of only at
+    /// round-key boundaries.
     pub exhaustive_word_offsets: bool,
     /// During verification, tolerate up to this many schedule blocks whose
     /// scrambler key is absent from the candidate pool (no candidate
@@ -99,10 +100,13 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    /// A slower, decay-hardened configuration: roughly 10× the scan cost of
-    /// the default, in exchange for tolerating several bit flips inside the
-    /// litmus window itself, so a schedule with no clean window still
-    /// yields hits. Only the block tolerance differs from the default:
+    /// A slower, decay-hardened configuration: about 500× the scan cost of
+    /// the default on a high-entropy image (1 MiB, 700 random candidates,
+    /// one thread of a 2-vCPU x86-64 host: 24–27 s against 0.05–0.11 s),
+    /// since at its tolerance nearly every (candidate, offset) passes the
+    /// sweep's residual bound. In exchange it tolerates several bit flips
+    /// inside the litmus window itself, so a schedule with no clean window
+    /// still yields hits. Only the block tolerance differs from the default:
     /// verification, which corrects decayed schedule words from the
     /// schedule's redundancy, is the same. On the −25 °C / 15 s transfer
     /// of a retentive module (≈1.6 % bit error) the default search
@@ -384,12 +388,12 @@ pub fn aes_block_litmus(
 /// Word-level form of [`aes_block_litmus`], used by the scan so blocks and
 /// candidate keys can be parsed to words once and XORed per pair.
 ///
-/// This is the innermost hot loop of the whole attack (it runs once per
-/// block x candidate key x key size), so it works on fixed-size arrays, and
-/// the first predicted word is checked through per-phase precomputation:
-/// for a fixed window, `expansion_step` only depends on the guessed
-/// position through its Rcon phase, so one `sub_word` pair covers every
-/// guess at an offset.
+/// It works on fixed-size arrays, and the first predicted word is checked
+/// through per-phase precomputation: for a fixed window, `expansion_step`
+/// only depends on the guessed position through its Rcon phase, so one
+/// `sub_word` pair covers every guess at an offset. The scan runs its
+/// per-offset body ([`litmus_offset`]) only for the (candidate, key size,
+/// offset) triples that pass the residual bound ([`SlicedKeys`]).
 pub fn aes_block_litmus_words(
     block_words: &[u32; BLOCK_BYTES / 4],
     key_size: KeySize,
@@ -428,8 +432,8 @@ const LITMUS_OFFSETS: usize = (BLOCK_BYTES - TEST_SPAN) / 4 + 1;
 /// ```
 ///
 /// so these four numbers cover every position guess at an offset. The
-/// batched sweep evaluates the same filter bit-sliced over 64 candidates
-/// at once ([`SlicedKeys`]) and recomputes it here only for survivors.
+/// batched sweep computes it only for the triples that pass its residual
+/// bound ([`SlicedKeys`]).
 #[derive(Debug, Clone, Copy)]
 struct PhaseFilter {
     d_rcon_low: u32,
@@ -737,7 +741,7 @@ struct CandidatePool {
     keys: Vec<CandidateKey>,
     words: Vec<[u32; BLOCK_BYTES / 4]>,
     /// One `(size, residuals by candidate)` entry per requested size, in
-    /// request order (the channel sweep indexes them like its sizes).
+    /// request order (both sweeps index them like their sizes).
     residuals: Vec<(KeySize, Vec<[u32; BLOCK_BYTES / 4]>)>,
 }
 
@@ -1077,10 +1081,8 @@ pub struct StreamSearcher {
     /// The candidates, their words and their identity residuals for every
     /// configured key size.
     pool: CandidatePool,
-    /// Bit-sliced candidate words for the first-word filter, built once.
-    sliced: SlicedKeys,
-    /// The channel sweep's tables, built once when reconstruction is on.
-    channel: Option<ChannelSweep>,
+    /// The tables of the block sweep the configuration runs, built once.
+    sweep: Sweep,
     /// Candidate index by key bytes (the first candidate with those bytes).
     key_index: HashMap<[u8; BLOCK_BYTES], usize>,
     /// Per candidate: the hits of the first swept block equal to its key,
@@ -1114,23 +1116,21 @@ pub struct StreamSearcher {
 impl StreamSearcher {
     /// Creates a searcher over the given candidate scrambler keys.
     pub fn new(candidates: &[CandidateKey], config: &SearchConfig) -> Self {
-        // Parse every candidate key to words once; a survivor's descramble
-        // is then 16 word XORs, and the bit-sliced first-word filter needs
-        // no descramble at all (see `SlicedKeys`).
+        // Parse every candidate key to words and residuals once; a
+        // survivor's descramble is then 16 word XORs, and the residual
+        // bounds need no descramble at all (see `SlicedKeys`).
         let pool = CandidatePool::new(candidates, &config.key_sizes);
-        let sliced = SlicedKeys::new(&pool.words, &config.key_sizes);
-        let channel = config
-            .reconstruct
-            .as_ref()
-            .map(|rc| ChannelSweep::new(rc, config));
+        let sweep = match &config.reconstruct {
+            None => Sweep::Raw(SlicedKeys::new(&pool, config.exhaustive_word_offsets)),
+            Some(rc) => Sweep::Channel(ChannelSweep::new(rc, config)),
+        };
         let mut key_index = HashMap::with_capacity(candidates.len());
         for (ci, cand) in candidates.iter().enumerate() {
             key_index.entry(cand.key).or_insert(ci);
         }
         Self {
             pool,
-            sliced,
-            channel,
+            sweep,
             key_index,
             memo: vec![None; candidates.len()],
             config: config.clone(),
@@ -1185,7 +1185,7 @@ impl StreamSearcher {
         // `c` is swept only if no earlier block — of this push or a
         // previous one — had those bytes; the later ones copy its hits.
         let mut plan: Vec<(usize, BlockHits)> = Vec::new();
-        let mut sweep: Vec<usize> = Vec::new();
+        let mut to_sweep: Vec<usize> = Vec::new();
         let region = self.config.region.as_ref();
         for i in first_new..view.len_blocks() {
             if !region.is_none_or(|r| r.contains(&view.block_addr(i))) {
@@ -1200,7 +1200,7 @@ impl StreamSearcher {
                         self.memo[c] = Some(Vec::new());
                     }
                     plan.push((i, BlockHits::Swept(key)));
-                    sweep.push(i);
+                    to_sweep.push(i);
                 }
             }
         }
@@ -1211,24 +1211,22 @@ impl StreamSearcher {
         if let Some(metrics) = &self.metrics {
             opts = opts.with_metrics(Arc::clone(&metrics.engine));
         }
-        let pool = &self.pool;
-        let sliced = &self.sliced;
-        let channel = self.channel.as_ref();
-        let config = &self.config;
+        let (pool, sweep, config) = (&self.pool, &self.sweep, &self.config);
         // The batched sweep folds into per-worker accumulators (so scratch
         // lives across a whole batch); the merge concatenates, which is not
         // order-preserving on its own — the stable sort by sweep position
         // below restores the serial hit order (positions are unique per
         // block, blocks never split workers).
         let folded = scan::scan_fold(
-            sweep.len(),
+            to_sweep.len(),
             &opts,
             SweepAcc::default,
-            |acc, n| {
-                if let Some(channel) = channel {
-                    scan_block_channel(&view, pool, channel, n, sweep[n], acc);
-                } else {
-                    scan_block_batched(&view, pool, sliced, config, n, sweep[n], acc);
+            |acc, n| match sweep {
+                Sweep::Raw(sliced) => {
+                    scan_block_batched(&view, pool, sliced, config, n, to_sweep[n], acc)
+                }
+                Sweep::Channel(channel) => {
+                    scan_block_channel(&view, pool, channel, n, to_sweep[n], acc)
                 }
             },
             SweepAcc::merge,
@@ -1458,123 +1456,168 @@ enum BlockHits {
     Memo(usize),
 }
 
+/// The block sweep a [`StreamSearcher`] runs, with its tables.
+enum Sweep {
+    /// Raw mode: the Hamming-distance litmus behind the residual bound.
+    Raw(SlicedKeys),
+    /// Channel mode (`config.reconstruct` on): residual-channel scoring.
+    Channel(ChannelSweep),
+}
+
+/// The start phases `start % Nk` a litmus sweep reaches for `size`, in
+/// increasing order: starts `0..=schedule_words - 12` at `step` 1 with
+/// exhaustive word offsets, else 4.
+fn start_phases(size: KeySize, step: usize) -> Vec<usize> {
+    let mut phases: Vec<usize> = (0..=size.schedule_words() - TEST_SPAN / 4)
+        .step_by(step)
+        .map(|start| start % size.nk())
+        .collect();
+    phases.sort_unstable();
+    phases.dedup();
+    phases
+}
+
+/// The block words a mask of block words at window offset 0 covers at
+/// some window offset (offset `o` shifts the mask left by `o`).
+fn mask_reads(mask: u32) -> Range<usize> {
+    if mask == 0 {
+        return 0..0;
+    }
+    mask.trailing_zeros() as usize..(32 - mask.leading_zeros()) as usize + LITMUS_OFFSETS - 1
+}
+
 /// Candidates per bit-sliced lane group: one per bit of a `u64`.
 const LANES: usize = 64;
 
-/// Most block words the first-word filter reads: words `0..=nk + 4`, for
-/// AES-256's `nk = 8`.
-const FILTER_WORDS: usize = 8 + LITMUS_OFFSETS;
+/// Most block words one key size's residual bound reads: each window
+/// offset `o` in `0..=4` reads word `o + Nk`, `o + Nk + 1`, or both.
+const BOUND_WORDS: usize = LITMUS_OFFSETS + 1;
 
 /// One 32-bit word across a lane group, bit-sliced: `planes[b]` holds bit
 /// `b` of the word, with candidate `64g + l` of group `g` in lane `l`.
 type WordPlanes = [u64; 32];
 
-/// The candidate keys transposed into bit planes for the first-word
-/// filter of the batched sweep.
+/// The candidates' identity residuals as bit planes, for the batched
+/// sweep's bound on which (candidate, key size, window offset) triples of
+/// a block can hold a litmus match.
 ///
-/// The first-word filter for candidate `c` at window offset `o` reads only
-/// `target = D[o] ^ D[o + nk]` and `prev = D[o + nk - 1]` (word indices) of
-/// the descrambled block `D = B ^ Kc`. With the candidates' words as bit
-/// planes, 64 candidates per `u64`, descrambling is one XOR of a broadcast
-/// block bit per plane, and the [`PhaseFilter`] arithmetic becomes logic
-/// on whole lane groups:
+/// A litmus position at window offset `o` and start `s` predicts the
+/// words `o + Nk + e` of the descrambled block `D = B ^ Kc` and sums the
+/// popcounts of its prediction errors `δₑ`. For `e < Nk`, whose word `Nk`
+/// back is in the window, an identity step gives `δₑ = r ^ δₑ₋₁` (with
+/// `δ₋₁ = 0`), where `r` is the identity residual
+/// `D[j] ^ D[j - Nk] ^ D[j - 1]` at `j = o + Nk + e`; so `popcount(r)`
+/// is at most the position's distance. No two consecutive schedule words
+/// are both transform steps (Rcon or `SubWord`), so one of the first two
+/// predicted words is an identity step, and a match needs
+/// `popcount(r) <= tolerance` at the first such word: `o + Nk` when the
+/// start's phase `s % Nk` is an identity phase, else `o + Nk + 1`. The
+/// residual is linear, `res(D) = res(B) ^ res(Kc)`
+/// ([`identity_residuals`]), so the bound reads the pool's key residuals
+/// and needs neither a descramble nor a `SubWord`.
 ///
-/// * `SubWord(prev)` runs once per distinct `prev` word (words
-///   `nk - 1..=nk + 3`) through the Boyar–Peralta circuit
-///   ([`sbox_bitsliced`]); every (key size, offset) pair reading that word
-///   shares it, and `RotWord` is a renumbering of its planes;
-/// * each phase distance `popcount(target ^ f(prev)) <= tolerance` is an
-///   adder tree into a 6-bit per-lane counter plus a compare against the
-///   budget (the Rcon phase counts the low 24 bits only, as
-///   `PhaseFilter::d_rcon_low` does).
-///
-/// A lane passes when any phase of its key size does — the same integers
-/// [`PhaseFilter::viable`] compares, so the survivor sets are equal.
+/// With the key residuals as bit planes, 64 candidates per `u64`, the
+/// XOR with the block's residual is one broadcast bit per plane, and each
+/// word's `popcount <= tolerance` is an adder tree into a 6-bit per-lane
+/// counter plus a compare ([`weight_at_most`]); the workspace builds for
+/// baseline x86-64, where `count_ones` is a software bit count. A triple
+/// survives when the word of any start phase the sweep reaches passes.
+/// With the default start step, AES-256 and AES-128 reach only transform
+/// phases, so each offset reads one word, `o + Nk + 1`.
 struct SlicedKeys {
-    /// Key sizes in search order.
-    sizes: Vec<KeySize>,
-    /// Words `0..words` of each lane group.
-    groups: Vec<[WordPlanes; FILTER_WORDS]>,
+    /// One entry per configured key size, in search order.
+    sizes: Vec<SlicedSize>,
     /// The lanes of each group that hold a candidate: all of them except
     /// in the last group.
     lanes: Vec<u64>,
-    /// Words the configured sizes read: `max nk + 5`, or 0 without sizes.
-    words: usize,
-    /// The `prev` words of every size, `nk - 1..=nk + 3` each. For key
-    /// lengths 4, 6 and 8 words these ranges overlap, so their union is
-    /// one range.
-    prev_words: Range<usize>,
+}
+
+/// One key size of [`SlicedKeys`].
+struct SlicedSize {
+    size: KeySize,
+    /// The bound's words at window offset 0, as a mask over block words:
+    /// bit `Nk` when some reachable start phase is an identity phase, bit
+    /// `Nk + 1` when some is a transform phase. Offset `o` shifts it left
+    /// by `o`.
+    mask: u32,
+    /// The block words the bound reads at some offset.
+    reads: Range<usize>,
+    /// Per lane group, the candidates' identity residuals at block words
+    /// `reads`, as bit planes.
+    groups: Vec<[WordPlanes; BOUND_WORDS]>,
 }
 
 impl SlicedKeys {
-    fn new(key_words: &[[u32; BLOCK_BYTES / 4]], sizes: &[KeySize]) -> Self {
-        let (words, prev_words) = match (
-            sizes.iter().map(|s| s.nk()).min(),
-            sizes.iter().map(|s| s.nk()).max(),
-        ) {
-            (Some(lo), Some(hi)) => (hi + LITMUS_OFFSETS, lo - 1..hi + 4),
-            _ => (0, 0..0),
-        };
-        let mut groups = Vec::with_capacity(key_words.len().div_ceil(LANES));
-        let mut lanes = Vec::with_capacity(groups.capacity());
-        for group in key_words.chunks(LANES) {
-            let mut planes = [[0u64; 32]; FILTER_WORDS];
-            for (lane, kw) in group.iter().enumerate() {
-                for (word_planes, &w) in planes.iter_mut().zip(kw).take(words) {
-                    for (b, plane) in word_planes.iter_mut().enumerate() {
-                        *plane |= u64::from(w >> b & 1) << lane;
-                    }
+    fn new(pool: &CandidatePool, exhaustive: bool) -> Self {
+        let step = if exhaustive { 1 } else { 4 };
+        let sizes = pool
+            .residuals
+            .iter()
+            .map(|(size, key_res)| {
+                let nk = size.nk();
+                // Predicted word 0 is schedule word `s + Nk`, of phase
+                // `s % Nk`.
+                let mask = start_phases(*size, step).into_iter().fold(0u32, |m, ph| {
+                    m | 1 << (nk + usize::from(residual_kind(nk, ph) != RES_IDENT))
+                });
+                let reads = mask_reads(mask);
+                let groups = key_res
+                    .chunks(LANES)
+                    .map(|group| {
+                        let mut planes = [[0u64; 32]; BOUND_WORDS];
+                        for (lane, res) in group.iter().enumerate() {
+                            for (word_planes, &r) in planes.iter_mut().zip(&res[reads.clone()]) {
+                                for (b, plane) in word_planes.iter_mut().enumerate() {
+                                    *plane |= u64::from(r >> b & 1) << lane;
+                                }
+                            }
+                        }
+                        planes
+                    })
+                    .collect();
+                SlicedSize {
+                    size: *size,
+                    mask,
+                    reads,
+                    groups,
                 }
-            }
-            groups.push(planes);
-            lanes.push(u64::MAX >> (LANES - group.len()));
-        }
-        Self {
-            sizes: sizes.to_vec(),
-            groups,
-            lanes,
-            words,
-            prev_words,
-        }
+            })
+            .collect();
+        let lanes = pool
+            .words
+            .chunks(LANES)
+            .map(|group| u64::MAX >> (LANES - group.len()))
+            .collect();
+        Self { sizes, lanes }
     }
 
     /// Appends every `(candidate, size index, offset index)` triple of one
-    /// block that passes the first-word filter at tolerance `tol`, in
-    /// (group, size, offset, lane) order.
+    /// block that passes the residual bound at tolerance `tol`, in (size,
+    /// group, offset, lane) order.
     fn survivors(
         &self,
         block_w: &[u32; BLOCK_BYTES / 4],
         tol: u32,
         out: &mut Vec<(usize, usize, usize)>,
     ) {
-        // Each block bit broadcast to a whole lane: XORing it into the key
-        // planes descrambles that bit for every candidate of a group.
-        let mut block_planes = [[0u64; 32]; FILTER_WORDS];
-        for (planes, &w) in block_planes.iter_mut().zip(block_w).take(self.words) {
-            *planes = from_fn(|b| 0u64.wrapping_sub(u64::from(w >> b & 1)));
-        }
-        let mut desc = [[0u64; 32]; FILTER_WORDS];
-        let mut subs = [[0u64; 32]; FILTER_WORDS];
-        for (g, (key_planes, &lanes)) in self.groups.iter().zip(&self.lanes).enumerate() {
-            for j in 0..self.words {
-                desc[j] = from_fn(|b| key_planes[j][b] ^ block_planes[j][b]);
+        for (si, ss) in self.sizes.iter().enumerate() {
+            let block_r = identity_residuals(block_w, ss.size.nk());
+            // Each block residual bit broadcast to a whole lane: XORing it
+            // into the key planes gives that bit of every candidate's
+            // descrambled residual.
+            let mut block_planes = [[0u64; 32]; BOUND_WORDS];
+            for (planes, &r) in block_planes.iter_mut().zip(&block_r[ss.reads.clone()]) {
+                *planes = from_fn(|b| 0u64.wrapping_sub(u64::from(r >> b & 1)));
             }
-            for j in self.prev_words.clone() {
-                subs[j] = sub_word_sliced(&desc[j]);
-            }
-            for (si, size) in self.sizes.iter().enumerate() {
-                let nk = size.nk();
+            for (g, (key_planes, &lanes)) in ss.groups.iter().zip(&self.lanes).enumerate() {
+                let mut pass = [0u64; BOUND_WORDS];
+                for k in 0..ss.reads.len() {
+                    let x: WordPlanes = from_fn(|b| key_planes[k][b] ^ block_planes[k][b]);
+                    pass[k] = weight_at_most(tol, &x);
+                }
                 for oi in 0..LITMUS_OFFSETS {
-                    let target: WordPlanes = from_fn(|b| desc[oi][b] ^ desc[oi + nk][b]);
-                    let prev = &desc[oi + nk - 1];
-                    let sub = &subs[oi + nk - 1];
-                    let mut pass = weight_at_most::<32>(tol, |b| target[b] ^ prev[b]);
-                    // Bit b of RotWord(x) is bit (b + 24) % 32 of x.
-                    pass |= weight_at_most::<24>(tol, |b| target[b] ^ sub[(b + 24) % 32]);
-                    if nk > 6 {
-                        pass |= weight_at_most::<32>(tol, |b| target[b] ^ sub[b]);
-                    }
-                    let mut pass = pass & lanes;
+                    let words = set_bits(ss.mask << oi);
+                    let mut pass = words.fold(0, |p, j| p | pass[j - ss.reads.start]) & lanes;
                     while pass != 0 {
                         out.push((g * LANES + pass.trailing_zeros() as usize, si, oi));
                         pass &= pass - 1;
@@ -1585,31 +1628,51 @@ impl SlicedKeys {
     }
 }
 
-/// `SubWord` of a bit-sliced word: the S-box circuit on each byte's planes.
-#[inline(always)]
-fn sub_word_sliced(w: &WordPlanes) -> WordPlanes {
-    let mut out = [0u64; 32];
-    for (byte, planes) in out.chunks_exact_mut(8).enumerate() {
-        planes.copy_from_slice(&sbox_bitsliced(from_fn(|b| w[8 * byte + b])));
+/// The scalar form of [`SlicedKeys`]' bound, computed from each
+/// descrambled block directly: per `(candidate, size index, offset
+/// index)` triple in order, the least residual popcount at the first
+/// identity word of any start the sweep tries. A triple survives at
+/// tolerance `tol` when that popcount is at most `tol`.
+#[cfg(test)]
+fn residual_bound_reference(
+    block_w: &[u32; BLOCK_BYTES / 4],
+    key_words: &[[u32; BLOCK_BYTES / 4]],
+    sizes: &[KeySize],
+    exhaustive: bool,
+) -> Vec<((usize, usize, usize), u32)> {
+    let step = if exhaustive { 1 } else { 4 };
+    let mut out = Vec::new();
+    for (ci, kw) in key_words.iter().enumerate() {
+        let desc: [u32; BLOCK_BYTES / 4] = from_fn(|j| block_w[j] ^ kw[j]);
+        for (si, &size) in sizes.iter().enumerate() {
+            let nk = size.nk();
+            for oi in 0..LITMUS_OFFSETS {
+                let least = (0..=size.schedule_words() - TEST_SPAN / 4)
+                    .step_by(step)
+                    .map(|start| {
+                        let first = usize::from(residual_kind(nk, start + nk) != RES_IDENT);
+                        let j = oi + nk + first;
+                        (desc[j] ^ desc[j - nk] ^ desc[j - 1]).count_ones()
+                    })
+                    .min()
+                    .unwrap_or(u32::MAX);
+                out.push(((ci, si, oi), least));
+            }
+        }
     }
     out
 }
 
-/// The lanes whose popcount over the `N` bit planes `plane(0..N)` is at
-/// most `tol`; `N` is 24 or 32.
+/// The lanes whose popcount over the 32 bit planes `x` is at most `tol`.
 #[inline(always)]
-fn weight_at_most<const N: usize>(tol: u32, plane: impl Fn(usize) -> u64) -> u64 {
-    if tol as usize >= N {
+fn weight_at_most(tol: u32, x: &WordPlanes) -> u64 {
+    if tol >= 32 {
         return u64::MAX;
     }
-    let low = count16(from_fn(&plane));
-    let high = if N == 32 {
-        count16(from_fn(|b| plane(16 + b)))
-    } else {
-        let [c0, c1, c2, c3] = count8(from_fn(|b| plane(16 + b)));
-        [c0, c1, c2, c3, 0]
-    };
-    let count: [u64; 6] = add_counts(&low, &high);
+    let count: [u64; 6] = add_counts(
+        &count16(from_fn(|b| x[b])),
+        &count16(from_fn(|b| x[16 + b])),
+    );
     // Compare against `tol` from the top bit down: a lane is over budget
     // once it has a 1 where `tol` has a 0 and matched every bit above.
     let mut over = 0u64;
@@ -1688,10 +1751,12 @@ impl SweepAcc {
 /// position) order — the same order [`scan_block_reference`] produces.
 ///
 /// The sweep inverts the reference loop: instead of descrambling the block
-/// per candidate and filtering inside the litmus, it runs the first-word
-/// filter bit-sliced over all candidates ([`SlicedKeys`]), then descrambles
+/// per candidate and filtering inside the litmus, it runs the residual
+/// bound bit-sliced over all candidates ([`SlicedKeys`]), then descrambles
 /// only for the rare surviving candidates (memoized across a candidate's
-/// surviving offsets).
+/// surviving offsets) and runs the reference's first-word filter and
+/// position loop on them. A triple the bound rejects has no match, so the
+/// hits are the reference's.
 fn scan_block_batched(
     dump: &MemoryDump,
     pool: &CandidatePool,
@@ -1708,7 +1773,7 @@ fn scan_block_batched(
     if acc.survivors.is_empty() {
         return;
     }
-    // Survivors were collected group- and size-major; the serial hit order
+    // Survivors were collected size- and group-major; the serial hit order
     // is candidate → key size → (offset, start_word). Triples are unique,
     // so an unstable sort is exact.
     acc.survivors.sort_unstable();
@@ -1722,14 +1787,13 @@ fn scan_block_batched(
             }
             desc_for = ci;
         }
-        let size = sliced.sizes[si];
+        let size = sliced.sizes[si].size;
         let nk = size.nk();
         let span = &desc[oi..oi + TEST_SPAN / 4];
         let filter = PhaseFilter::new(span[0] ^ span[nk], span[nk - 1]);
-        debug_assert!(
-            filter.viable(size, tol),
-            "survivor failed the recomputed filter"
-        );
+        if !filter.viable(size, tol) {
+            continue;
+        }
         acc.matches.clear();
         litmus_offset(
             span,
@@ -1850,12 +1914,7 @@ impl ChannelSweep {
                     let bits = |words: usize| 32 * u32::try_from(words).unwrap_or(u32::MAX);
                     residual_budget_pair(&rc.res_ident, &rc.res_sbox, bits(extend - tr), bits(tr))
                 });
-                let mut phases: Vec<usize> = (0..=size.schedule_words() - TEST_SPAN / 4)
-                    .step_by(step)
-                    .map(|start| start % nk)
-                    .collect();
-                phases.sort_unstable();
-                phases.dedup();
+                let phases = start_phases(size, step);
                 let mut bounds: Vec<(u32, u64)> = Vec::new();
                 for &ph in &phases {
                     let mask = (0..extend)
@@ -1866,13 +1925,7 @@ impl ChannelSweep {
                         None => bounds.push((mask, budgets[ph])),
                     }
                 }
-                let covered = bounds.iter().fold(0u32, |m, &(mask, _)| m | mask);
-                let reads = if covered == 0 {
-                    0..0
-                } else {
-                    covered.trailing_zeros() as usize
-                        ..(32 - covered.leading_zeros()) as usize + LITMUS_OFFSETS - 1
-                };
+                let reads = mask_reads(bounds.iter().fold(0u32, |m, &(mask, _)| m | mask));
                 ChannelSize {
                     size,
                     extend,
@@ -2859,52 +2912,131 @@ mod tests {
     }
 
     #[test]
-    fn sliced_filter_survivors_equal_scalar_viability() {
-        // The bit-sliced filter passes exactly the triples the scalar
-        // `PhaseFilter` passes: across partial lane groups, every key
-        // size, and tolerances on both sides of the 24- and 32-bit phase
-        // widths.
-        let mut state = 0x5EEDu64;
-        let mut word = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 32) as u32
+    fn residual_bound_planes_match_the_scalar_bound() {
+        // The bit-sliced bound passes exactly the triples the scalar
+        // `residual_bound_reference` passes, across partial lane groups,
+        // every key-size subset, both start steps and tolerances 0–40, and
+        // every match the reference litmus finds lies on a surviving
+        // triple. Candidate c is K0 ^ Nc, where N0 = 0 and Nc sets each bit
+        // with its own probability, so a block scrambled by K0 descrambles
+        // under c to its plain words ^ Nc and bound popcounts spread over
+        // 0..=32.
+        let all_sizes = [KeySize::Aes256, KeySize::Aes192, KeySize::Aes128];
+        let mut rng = SplitMix64::new(0x5EED);
+        let noise = |rng: &mut SplitMix64, p: f64| -> [u32; 16] {
+            from_fn(|_| (0..32).fold(0u32, |w, b| w | u32::from(rng.gen_bool(p)) << b))
         };
-        let sizes = [KeySize::Aes256, KeySize::Aes192, KeySize::Aes128];
-        let sched = schedule_bytes(&[0xA7u8; 32]);
-        let sched_word = |j: usize| u32::from_be_bytes(sched[4 * j..4 * j + 4].try_into().unwrap());
+        // Plain blocks: zero fill (the block equals K0), a random block,
+        // and one schedule block per key size, each also with three
+        // decayed bits.
+        let words = |bytes: &[u8]| -> [u32; 16] {
+            from_fn(|j| u32::from_be_bytes(bytes[4 * j..4 * j + 4].try_into().unwrap()))
+        };
+        let mut plains: Vec<[u32; 16]> = vec![[0; 16], from_fn(|_| rng.next_u64() as u32)];
+        for (key_len, at) in [(32usize, 64usize), (24, 84), (16, 48)] {
+            let key: Vec<u8> = (0..key_len).map(|_| rng.next_u64() as u8).collect();
+            let clean = words(&schedule_bytes(&key)[at..at + 64]);
+            let mut decayed = clean;
+            for _ in 0..3 {
+                decayed[rng.range(0..16) as usize] ^= 1 << rng.range(0..32);
+            }
+            plains.extend([clean, decayed]);
+        }
+        // Per tolerance below 32: lanes whose bound popcount is exactly
+        // the tolerance (they pass) and one more (they fail).
+        let mut edges = [[0usize; 2]; 32];
+        let mut matches = 0usize;
         for n in [1usize, 63, 64, 65, 130] {
-            let key_words: Vec<[u32; 16]> = (0..n).map(|_| from_fn(|_| word())).collect();
-            let sliced = SlicedKeys::new(&key_words, &sizes);
-            // Random blocks, a block equal to a key (it descrambles to
-            // zero), and a schedule block scrambled by the first key.
-            let mut blocks: Vec<[u32; 16]> = (0..6).map(|_| from_fn(|_| word())).collect();
-            blocks.push(key_words[n / 2]);
-            blocks.push(from_fn(|j| sched_word(16 + j) ^ key_words[0][j]));
-            for tol in [0u32, 3, 6, 12, 20, 23, 24, 31, 32, 40] {
-                for block in &blocks {
-                    let mut got = Vec::new();
-                    sliced.survivors(block, tol, &mut got);
-                    got.sort_unstable();
-                    let mut want = Vec::new();
-                    for (ci, kw) in key_words.iter().enumerate() {
-                        let desc: [u32; 16] = from_fn(|j| block[j] ^ kw[j]);
-                        for (si, &size) in sizes.iter().enumerate() {
-                            let nk = size.nk();
-                            for oi in 0..LITMUS_OFFSETS {
-                                let filter =
-                                    PhaseFilter::new(desc[oi] ^ desc[oi + nk], desc[oi + nk - 1]);
-                                if filter.viable(size, tol) {
-                                    want.push((ci, si, oi));
+            let k0: [u32; 16] = from_fn(|_| rng.next_u64() as u32);
+            let key_words: Vec<[u32; 16]> = (0..n)
+                .map(|c| {
+                    let p = if c == 0 { 0.0 } else { rng.unit() };
+                    let nc = noise(&mut rng, p);
+                    from_fn(|j| k0[j] ^ nc[j])
+                })
+                .collect();
+            let candidates: Vec<CandidateKey> = key_words
+                .iter()
+                .map(|kw| CandidateKey {
+                    key: from_fn(|b| kw[b / 4].to_be_bytes()[b % 4]),
+                    observations: 1,
+                })
+                .collect();
+            let blocks: Vec<[u32; 16]> = plains.iter().map(|p| from_fn(|j| p[j] ^ k0[j])).collect();
+            let image = blocks.iter().flatten().flat_map(|w| w.to_be_bytes());
+            let dump = MemoryDump::new(image.collect(), 0);
+            for subset in 1..8usize {
+                let sizes: Vec<KeySize> = (0..3)
+                    .filter(|bit| subset >> bit & 1 == 1)
+                    .map(|bit| all_sizes[bit])
+                    .collect();
+                let pool = CandidatePool::new(&candidates, &sizes);
+                for exhaustive in [false, true] {
+                    let sliced = SlicedKeys::new(&pool, exhaustive);
+                    for (i, block) in blocks.iter().enumerate() {
+                        let bound = residual_bound_reference(block, &key_words, &sizes, exhaustive);
+                        for tol in 0..=40u32 {
+                            let ctx = format!(
+                                "n={n} sizes={sizes:?} exhaustive={exhaustive} block={i} tol={tol}"
+                            );
+                            let mut got = Vec::new();
+                            sliced.survivors(block, tol, &mut got);
+                            got.sort_unstable();
+                            let want: Vec<(usize, usize, usize)> = bound
+                                .iter()
+                                .filter(|&&(_, least)| least <= tol)
+                                .map(|&(triple, _)| triple)
+                                .collect();
+                            assert_eq!(got, want, "{ctx}");
+                            if let Some(edge) = edges.get_mut(tol as usize) {
+                                for &(_, least) in &bound {
+                                    if least == tol || least == tol + 1 {
+                                        edge[(least - tol) as usize] += 1;
+                                    }
+                                }
+                            }
+                            let config = SearchConfig {
+                                key_sizes: sizes.clone(),
+                                block_tolerance_bits: tol,
+                                exhaustive_word_offsets: exhaustive,
+                                ..SearchConfig::default()
+                            };
+                            for ci in 0..n {
+                                let mut hits = Vec::new();
+                                scan_block_reference(
+                                    &dump,
+                                    &candidates[ci..=ci],
+                                    &key_words[ci..=ci],
+                                    &config,
+                                    i,
+                                    &mut hits,
+                                );
+                                for hit in &hits {
+                                    let si = sizes.iter().position(|&s| s == hit.key_size).unwrap();
+                                    let triple = (ci, si, hit.window_offset / 4);
+                                    assert!(
+                                        got.binary_search(&triple).is_ok(),
+                                        "{ctx}: match at start {} on rejected triple {triple:?}",
+                                        hit.start_word
+                                    );
+                                    matches += 1;
                                 }
                             }
                         }
                     }
-                    assert_eq!(got, want, "n={n} tol={tol}");
                 }
             }
         }
+        for (tol, [at, over]) in edges.iter().enumerate() {
+            assert!(
+                *at > 0 && *over > 0,
+                "tol={tol}: {at} lanes at it, {over} one over"
+            );
+        }
+        assert!(
+            matches > 0,
+            "the schedule blocks must produce litmus matches"
+        );
     }
 
     mod batched_equivalence {

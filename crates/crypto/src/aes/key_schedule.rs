@@ -6,15 +6,10 @@
 //!   the master key) from any window of `Nk` consecutive schedule words at a
 //!   known absolute position. This is what turns "I found three consecutive
 //!   round keys in a 64-byte DRAM block" into "I have the disk key".
-//! * [`KeySchedule::recover_from_noisy`] — decay-tolerant recovery: tries
-//!   every window position of an observed (possibly bit-flipped) schedule
-//!   image, reconstructs from each, and returns the reconstruction closest
-//!   to the observation.
 
 use std::fmt;
 
 use crate::aes::sbox::{rot_word, sub_word};
-use crate::hamming;
 use crate::InvalidKeyLengthError;
 
 /// AES key size variants.
@@ -236,43 +231,6 @@ impl KeySchedule {
         Some(Self { size, words })
     }
 
-    /// Decay-tolerant recovery: given an `observed` image of a full expanded
-    /// schedule (possibly containing bit flips from DRAM decay), tries a
-    /// reconstruction from **every** `Nk`-word window and returns the
-    /// candidate whose re-expansion is closest to the observation, together
-    /// with that Hamming distance in bits.
-    ///
-    /// If any window happens to be free of bit errors the reconstruction is
-    /// exact; the attack exploits this redundancy exactly as the paper
-    /// describes ("we measure hamming distance to test equality").
-    ///
-    /// Returns `None` if `observed` has the wrong length.
-    pub fn recover_from_noisy(size: KeySize, observed: &[u8]) -> Option<(Self, u32)> {
-        if observed.len() != size.schedule_len() {
-            return None;
-        }
-        let total = size.schedule_words();
-        let nk = size.nk();
-        let obs_words: Vec<u32> = observed
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        let mut best: Option<(Self, u32)> = None;
-        for start in 0..=(total - nk) {
-            let window = &obs_words[start..start + nk];
-            let candidate = Self::reconstruct(size, window, start)?;
-            let dist = hamming::distance(&candidate.to_bytes(), observed);
-            match &best {
-                Some((_, d)) if *d <= dist => {}
-                _ => best = Some((candidate, dist)),
-            }
-            if let Some((_, 0)) = best {
-                break;
-            }
-        }
-        best
-    }
-
     /// The key size this schedule belongs to.
     #[inline]
     pub fn key_size(&self) -> KeySize {
@@ -483,28 +441,6 @@ mod tests {
         let ks = KeySchedule::expand(&[7u8; 32]).unwrap();
         let window = ks.words()[52..60].to_vec();
         assert!(extend_forward(KeySize::Aes256, &window, 52, 1).is_none());
-    }
-
-    #[test]
-    fn recover_from_noisy_with_clean_image() {
-        let ks = KeySchedule::expand(&[42u8; 32]).unwrap();
-        let (rec, dist) = KeySchedule::recover_from_noisy(KeySize::Aes256, &ks.to_bytes()).unwrap();
-        assert_eq!(dist, 0);
-        assert_eq!(rec.master_key(), vec![42u8; 32]);
-    }
-
-    #[test]
-    fn recover_from_noisy_with_bit_flips() {
-        let ks = KeySchedule::expand(&[0xA5u8; 32]).unwrap();
-        let mut image = ks.to_bytes();
-        // Flip a handful of bits scattered across the image, leaving at
-        // least one clean 32-byte window.
-        for (byte, bit) in [(3usize, 0u8), (50, 4), (51, 7), (120, 1), (200, 6)] {
-            image[byte] ^= 1 << bit;
-        }
-        let (rec, dist) = KeySchedule::recover_from_noisy(KeySize::Aes256, &image).unwrap();
-        assert_eq!(rec.master_key(), vec![0xA5u8; 32]);
-        assert_eq!(dist, 5);
     }
 
     #[test]

@@ -65,153 +65,6 @@ pub const fn rot_word(w: u32) -> u32 {
     w.rotate_left(8)
 }
 
-/// The S-box on 64 bytes at once, bit-sliced: `x[i]` holds bit `i` (bit 0
-/// least significant) of every input byte, one byte per `u64` lane, and
-/// the result holds the substituted bytes the same way.
-///
-/// This is the 128-gate circuit of Boyar and Peralta ("A small depth-16
-/// circuit for the AES S-box", 2012): a linear top layer, a shared
-/// GF(2⁴)-tower inversion, and a linear bottom layer — 34 ANDs and 94
-/// XOR/XNORs per 64 bytes instead of 64 table loads. The gate names
-/// follow the paper (`u0` is the most significant input bit, `s0` the most
-/// significant output bit).
-#[inline]
-pub fn sbox_bitsliced(x: [u64; 8]) -> [u64; 8] {
-    let [u7, u6, u5, u4, u3, u2, u1, u0] = x;
-    // Top linear layer.
-    let t1 = u0 ^ u3;
-    let t2 = u0 ^ u5;
-    let t3 = u0 ^ u6;
-    let t4 = u3 ^ u5;
-    let t5 = u4 ^ u6;
-    let t6 = t1 ^ t5;
-    let t7 = u1 ^ u2;
-    let t8 = u7 ^ t6;
-    let t9 = u7 ^ t7;
-    let t10 = t6 ^ t7;
-    let t11 = u1 ^ u5;
-    let t12 = u2 ^ u5;
-    let t13 = t3 ^ t4;
-    let t14 = t6 ^ t11;
-    let t15 = t5 ^ t11;
-    let t16 = t5 ^ t12;
-    let t17 = t9 ^ t16;
-    let t18 = u3 ^ u7;
-    let t19 = t7 ^ t18;
-    let t20 = t1 ^ t19;
-    let t21 = u6 ^ u7;
-    let t22 = t7 ^ t21;
-    let t23 = t2 ^ t22;
-    let t24 = t2 ^ t10;
-    let t25 = t20 ^ t17;
-    let t26 = t3 ^ t16;
-    let t27 = t1 ^ t12;
-    // Nonlinear middle: inversion in the tower field.
-    let m1 = t13 & t6;
-    let m2 = t23 & t8;
-    let m3 = t14 ^ m1;
-    let m4 = t19 & u7;
-    let m5 = m4 ^ m1;
-    let m6 = t3 & t16;
-    let m7 = t22 & t9;
-    let m8 = t26 ^ m6;
-    let m9 = t20 & t17;
-    let m10 = m9 ^ m6;
-    let m11 = t1 & t15;
-    let m12 = t4 & t27;
-    let m13 = m12 ^ m11;
-    let m14 = t2 & t10;
-    let m15 = m14 ^ m11;
-    let m16 = m3 ^ m2;
-    let m17 = m5 ^ t24;
-    let m18 = m8 ^ m7;
-    let m19 = m10 ^ m15;
-    let m20 = m16 ^ m13;
-    let m21 = m17 ^ m15;
-    let m22 = m18 ^ m13;
-    let m23 = m19 ^ t25;
-    let m24 = m22 ^ m23;
-    let m25 = m22 & m20;
-    let m26 = m21 ^ m25;
-    let m27 = m20 ^ m21;
-    let m28 = m23 ^ m25;
-    let m29 = m28 & m27;
-    let m30 = m26 & m24;
-    let m31 = m20 & m23;
-    let m32 = m27 & m31;
-    let m33 = m27 ^ m25;
-    let m34 = m21 & m22;
-    let m35 = m24 & m34;
-    let m36 = m24 ^ m25;
-    let m37 = m21 ^ m29;
-    let m38 = m32 ^ m33;
-    let m39 = m23 ^ m30;
-    let m40 = m35 ^ m36;
-    let m41 = m38 ^ m40;
-    let m42 = m37 ^ m39;
-    let m43 = m37 ^ m38;
-    let m44 = m39 ^ m40;
-    let m45 = m42 ^ m41;
-    let m46 = m44 & t6;
-    let m47 = m40 & t8;
-    let m48 = m39 & u7;
-    let m49 = m43 & t16;
-    let m50 = m38 & t9;
-    let m51 = m37 & t17;
-    let m52 = m42 & t15;
-    let m53 = m45 & t27;
-    let m54 = m41 & t10;
-    let m55 = m44 & t13;
-    let m56 = m40 & t23;
-    let m57 = m39 & t19;
-    let m58 = m43 & t3;
-    let m59 = m38 & t22;
-    let m60 = m37 & t20;
-    let m61 = m42 & t1;
-    let m62 = m45 & t4;
-    let m63 = m41 & t2;
-    // Bottom linear layer (the affine constant 0x63 is the four XNORs).
-    let l0 = m61 ^ m62;
-    let l1 = m50 ^ m56;
-    let l2 = m46 ^ m48;
-    let l3 = m47 ^ m55;
-    let l4 = m54 ^ m58;
-    let l5 = m49 ^ m61;
-    let l6 = m62 ^ l5;
-    let l7 = m46 ^ l3;
-    let l8 = m51 ^ m59;
-    let l9 = m52 ^ m53;
-    let l10 = m53 ^ l4;
-    let l11 = m60 ^ l2;
-    let l12 = m48 ^ m51;
-    let l13 = m50 ^ l0;
-    let l14 = m52 ^ m61;
-    let l15 = m55 ^ l1;
-    let l16 = m56 ^ l0;
-    let l17 = m57 ^ l1;
-    let l18 = m58 ^ l8;
-    let l19 = m63 ^ l4;
-    let l20 = l0 ^ l1;
-    let l21 = l1 ^ l7;
-    let l22 = l3 ^ l12;
-    let l23 = l18 ^ l2;
-    let l24 = l15 ^ l9;
-    let l25 = l6 ^ l10;
-    let l26 = l7 ^ l9;
-    let l27 = l8 ^ l10;
-    let l28 = l11 ^ l14;
-    let l29 = l11 ^ l17;
-    let s0 = l6 ^ l24;
-    let s1 = !(l16 ^ l26);
-    let s2 = !(l19 ^ l28);
-    let s3 = l6 ^ l21;
-    let s4 = l20 ^ l22;
-    let s5 = l25 ^ l29;
-    let s6 = !(l13 ^ l27);
-    let s7 = !(l6 ^ l23);
-    [s7, s6, s5, s4, s3, s2, s1, s0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,31 +107,6 @@ mod tests {
     #[test]
     fn rot_word_rotates() {
         assert_eq!(rot_word(0x09cf4f3c), 0xcf4f3c09);
-    }
-
-    #[test]
-    fn bitsliced_sbox_matches_table_on_every_input() {
-        // Four calls cover all 256 inputs, a different one in each lane;
-        // the multiplier permutes inputs so lanes are not in table order.
-        for call in 0..4u64 {
-            let input = |lane: u64| ((call * 64 + lane) * 167 % 256) as u8;
-            let mut planes = [0u64; 8];
-            for lane in 0..64 {
-                for (bit, plane) in planes.iter_mut().enumerate() {
-                    *plane |= u64::from(input(lane) >> bit & 1) << lane;
-                }
-            }
-            let out = sbox_bitsliced(planes);
-            for lane in 0..64 {
-                let got = (0..8).fold(0u8, |acc, bit| acc | ((out[bit] >> lane & 1) as u8) << bit);
-                assert_eq!(
-                    got,
-                    SBOX[input(lane) as usize],
-                    "input {:#04x}",
-                    input(lane)
-                );
-            }
-        }
     }
 
     #[test]

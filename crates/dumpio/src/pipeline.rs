@@ -54,11 +54,19 @@ pub const DEFAULT_WINDOW_BLOCKS: usize = 16 * 1024;
 /// `threads × TICK_BLOCKS` blocks regardless of the caller's window size.
 /// The old behaviour ticked once per *window*, so a job scanning a large
 /// file as one window could overshoot its wall-clock deadline by the
-/// whole scan; slicing bounds the overshoot to one slice while keeping
-/// enough blocks per slice that every worker stays busy. Results are
+/// whole scan; slicing bounds the overshoot to one slice. Every slice
+/// also costs a hand-off from the reader thread and a fork-join of the
+/// scan workers, thread wake-ups that wait on the scheduler when the
+/// CPUs are contended. At 256 blocks per worker, a two-thread raw attack
+/// on a 2 MiB capture ran 128 slices of at most about 1 ms of work, and a
+/// niced busy loop on each of two CPUs stretched the job about threefold;
+/// at 512 the same load stretches it by 1.7–2.0×. Larger slices cut the
+/// wake-ups further but hold more of a slice's hits and verification runs
+/// in memory at once: at 1024, the four-schedule decayed attack on
+/// 256 KiB peaked a third higher in resident memory. Results are
 /// unchanged: the streaming scanners are windowing-invariant (see the
 /// `streamed_identity` tests).
-pub const TICK_BLOCKS: usize = 256;
+pub const TICK_BLOCKS: usize = 512;
 
 /// The effective read-window for a pass with `threads` workers.
 fn slice_blocks(window_blocks: usize, threads: usize) -> usize {

@@ -168,7 +168,7 @@ impl<R: Seek, F: FnMut()> Seek for TriggerReader<R, F> {
 
 /// Bytes the driver may still pull after a stop condition fires: the rest
 /// of the window being decoded plus the one look-ahead window the double
-/// buffer allows, each up to a slice (256 blocks at one thread) and a
+/// buffer allows, each up to a slice (512 blocks at one thread) and a
 /// 64 KiB chunk of decode carry, plus headers. A pass ticked once per
 /// full-file window would instead read everything, so staying under this
 /// bound is what "overshoot ≤ one slice" means observably.

@@ -100,35 +100,96 @@ pub enum ExprKind {
     Lit,
     /// `name!(args)`; the span covers the whole invocation, so literal
     /// tokens inside it can be re-scanned for format captures.
-    Macro { name: String, args: Vec<Expr> },
-    Call { callee: Box<Expr>, args: Vec<Expr> },
-    MethodCall { recv: Box<Expr>, method: String, args: Vec<Expr> },
-    Field { recv: Box<Expr>, name: String },
-    Index { recv: Box<Expr>, index: Box<Expr> },
+    Macro {
+        name: String,
+        args: Vec<Expr>,
+    },
+    Call {
+        callee: Box<Expr>,
+        args: Vec<Expr>,
+    },
+    MethodCall {
+        recv: Box<Expr>,
+        method: String,
+        args: Vec<Expr>,
+    },
+    Field {
+        recv: Box<Expr>,
+        name: String,
+    },
+    Index {
+        recv: Box<Expr>,
+        index: Box<Expr>,
+    },
     /// `expr as ty` with the rendered target type.
-    Cast { expr: Box<Expr>, ty: String },
+    Cast {
+        expr: Box<Expr>,
+        ty: String,
+    },
     /// Any prefix operator (`&`, `&mut`, `*`, `!`, `-`).
-    Unary { expr: Box<Expr> },
-    Binary { op: String, lhs: Box<Expr>, rhs: Box<Expr> },
+    Unary {
+        expr: Box<Expr>,
+    },
+    Binary {
+        op: String,
+        lhs: Box<Expr>,
+        rhs: Box<Expr>,
+    },
     /// Plain and compound assignment.
-    Assign { target: Box<Expr>, value: Box<Expr> },
-    Range { lo: Option<Box<Expr>>, hi: Option<Box<Expr>> },
-    If { cond: Box<Expr>, then: Block, els: Option<Box<Expr>> },
+    Assign {
+        target: Box<Expr>,
+        value: Box<Expr>,
+    },
+    Range {
+        lo: Option<Box<Expr>>,
+        hi: Option<Box<Expr>>,
+    },
+    If {
+        cond: Box<Expr>,
+        then: Block,
+        els: Option<Box<Expr>>,
+    },
     /// The `let PAT = scrut` condition of `if let` / `while let`,
     /// reduced to the names the pattern binds.
-    LetCond { names: Vec<String>, scrut: Box<Expr> },
-    Match { scrut: Box<Expr>, arms: Vec<Arm> },
-    Loop { body: Block },
-    While { cond: Box<Expr>, body: Block },
-    For { names: Vec<String>, iter: Box<Expr>, body: Block },
+    LetCond {
+        names: Vec<String>,
+        scrut: Box<Expr>,
+    },
+    Match {
+        scrut: Box<Expr>,
+        arms: Vec<Arm>,
+    },
+    Loop {
+        body: Block,
+    },
+    While {
+        cond: Box<Expr>,
+        body: Block,
+    },
+    For {
+        names: Vec<String>,
+        iter: Box<Expr>,
+        body: Block,
+    },
     BlockExpr(Block),
-    Closure { body: Box<Expr> },
+    Closure {
+        body: Box<Expr>,
+    },
     /// `expr?`.
-    Try { expr: Box<Expr> },
+    Try {
+        expr: Box<Expr>,
+    },
     /// Tuple or array literal.
-    Tuple { items: Vec<Expr> },
-    StructLit { path: String, fields: Vec<(String, Expr)> },
-    Return { value: Option<Box<Expr>> },
+    Tuple {
+        items: Vec<Expr>,
+    },
+    StructLit {
+        path: String,
+        fields: Vec<(String, Expr)>,
+    },
+    Return {
+        value: Option<Box<Expr>>,
+    },
     Break,
     Continue,
     /// Anything the parser gave up on (at least one token consumed).
@@ -157,7 +218,12 @@ pub fn parse(tokens: &[Token]) -> Ast {
 
 /// Index of the token matching the opener at `open_idx` (same-text
 /// counting, so only call it positioned on `open`).
-pub(crate) fn matching(tokens: &[Token], open_idx: usize, open: &str, close: &str) -> Option<usize> {
+pub(crate) fn matching(
+    tokens: &[Token],
+    open_idx: usize,
+    open: &str,
+    close: &str,
+) -> Option<usize> {
     let mut depth = 0i32;
     for (i, t) in tokens.iter().enumerate().skip(open_idx) {
         if t.text == open {
@@ -871,10 +937,8 @@ impl<'t> Parser<'t> {
         if self.pos >= self.t.len() {
             return false;
         }
-        !matches!(
-            self.text(0),
-            ")" | "]" | "}" | "," | ";" | "=>" | "=" | "{"
-        ) && !matches!(self.text(0), "else" | "in" | "as")
+        !matches!(self.text(0), ")" | "]" | "}" | "," | ";" | "=>" | "=" | "{")
+            && !matches!(self.text(0), "else" | "in" | "as")
     }
 
     fn unary(&mut self) -> Expr {
@@ -1297,9 +1361,9 @@ impl<'t> Parser<'t> {
             return self.mk(ExprKind::Macro { name, args }, start);
         }
         // Struct literal.
-        let ctor_like = segs
-            .last()
-            .map_or(false, |s| s.chars().next().map_or(false, |c| c.is_uppercase()));
+        let ctor_like = segs.last().map_or(false, |s| {
+            s.chars().next().map_or(false, |c| c.is_uppercase())
+        });
         if self.text(0) == "{" && !self.no_struct_lit && ctor_like {
             let close = matching(self.t, self.pos, "{", "}").unwrap_or(self.t.len());
             self.bump();
@@ -1372,9 +1436,7 @@ impl<'t> Parser<'t> {
                         let mut probe = self.pos + 2;
                         if self.t.get(probe).map_or(false, |t| t.text == "::") {
                             if self.t.get(probe + 1).map_or(false, |t| t.text == "<") {
-                                if let Some(close) =
-                                    angle_match(self.t, probe + 1)
-                                {
+                                if let Some(close) = angle_match(self.t, probe + 1) {
                                     probe = close + 1;
                                 }
                             }
@@ -1582,7 +1644,10 @@ fn pattern_names(tokens: &[Token]) -> Vec<String> {
         if !lower_start || t.text == "_" {
             continue;
         }
-        if matches!(t.text.as_str(), "mut" | "ref" | "box" | "if" | "in" | "true" | "false") {
+        if matches!(
+            t.text.as_str(),
+            "mut" | "ref" | "box" | "if" | "in" | "true" | "false"
+        ) {
             continue;
         }
         // `io` in `io::ErrorKind::Interrupted` is a path, not a binding.
@@ -1645,7 +1710,10 @@ mod tests {
     fn methods_are_qualified() {
         let ast = parse_src("struct S { n: u32 }\nimpl S { fn get(&self) -> u32 { self.n } }");
         assert_eq!(ast.fns[0].name, "S::get");
-        assert_eq!(ast.structs[0].fields, vec![("n".to_string(), "u32".to_string())]);
+        assert_eq!(
+            ast.structs[0].fields,
+            vec![("n".to_string(), "u32".to_string())]
+        );
     }
 
     #[test]
@@ -1678,13 +1746,23 @@ mod tests {
         assert_eq!(f.body.stmts.len(), 3);
         assert!(matches!(
             &f.body.stmts[0],
-            Stmt::Expr(Expr { kind: ExprKind::Loop { .. }, .. })
+            Stmt::Expr(Expr {
+                kind: ExprKind::Loop { .. },
+                ..
+            })
         ));
         assert!(matches!(
             &f.body.stmts[1],
-            Stmt::Expr(Expr { kind: ExprKind::While { .. }, .. })
+            Stmt::Expr(Expr {
+                kind: ExprKind::While { .. },
+                ..
+            })
         ));
-        let Stmt::Expr(Expr { kind: ExprKind::For { names, .. }, .. }) = &f.body.stmts[2] else {
+        let Stmt::Expr(Expr {
+            kind: ExprKind::For { names, .. },
+            ..
+        }) = &f.body.stmts[2]
+        else {
             panic!("for expected");
         };
         assert_eq!(names, &vec!["i".to_string()]);
@@ -1694,7 +1772,11 @@ mod tests {
     fn if_let_binds_pattern_names() {
         let ast = parse_src("fn f() { if let Some(k) = lookup() { use_it(k); } }");
         let f = only_fn(&ast);
-        let Stmt::Expr(Expr { kind: ExprKind::If { cond, .. }, .. }) = &f.body.stmts[0] else {
+        let Stmt::Expr(Expr {
+            kind: ExprKind::If { cond, .. },
+            ..
+        }) = &f.body.stmts[0]
+        else {
             panic!("if expected");
         };
         let ExprKind::LetCond { names, .. } = &cond.kind else {
@@ -1709,7 +1791,11 @@ mod tests {
             "fn f() { match r { Ok(v) => use_it(v), Err(e) if e.fatal() => die(e), _ => {} } }",
         );
         let f = only_fn(&ast);
-        let Stmt::Expr(Expr { kind: ExprKind::Match { arms, .. }, .. }) = &f.body.stmts[0] else {
+        let Stmt::Expr(Expr {
+            kind: ExprKind::Match { arms, .. },
+            ..
+        }) = &f.body.stmts[0]
+        else {
             panic!("match expected");
         };
         assert_eq!(arms.len(), 3);
@@ -1737,7 +1823,10 @@ mod tests {
     fn macro_args_are_parsed() {
         let ast = parse_src("fn f() { println!(\"{} ok\", value); }");
         let f = only_fn(&ast);
-        let Stmt::Expr(Expr { kind: ExprKind::Macro { name, args }, .. }) = &f.body.stmts[0]
+        let Stmt::Expr(Expr {
+            kind: ExprKind::Macro { name, args },
+            ..
+        }) = &f.body.stmts[0]
         else {
             panic!("macro expected");
         };

@@ -119,8 +119,9 @@ fn parse_args() -> Result<Args, String> {
             },
             "--deny" => args.deny = true,
             "--baseline" => {
-                args.baseline =
-                    Some(PathBuf::from(it.next().ok_or("--baseline requires a path")?));
+                args.baseline = Some(PathBuf::from(
+                    it.next().ok_or("--baseline requires a path")?,
+                ));
             }
             "--write-baseline" => {
                 args.write_baseline = Some(PathBuf::from(
@@ -134,8 +135,9 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("--threads expects a number, got `{v}`"))?;
             }
             "--cache-dir" => {
-                args.cache_dir =
-                    Some(PathBuf::from(it.next().ok_or("--cache-dir requires a path")?));
+                args.cache_dir = Some(PathBuf::from(
+                    it.next().ok_or("--cache-dir requires a path")?,
+                ));
             }
             "--no-cache" => args.no_cache = true,
             "--allow-unused-allows" => args.allow_unused_allows = true,

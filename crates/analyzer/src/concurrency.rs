@@ -241,7 +241,13 @@ fn atomic_ordering(ctx: &SummaryCtx, roles: &ThreadRoles, out: &mut Vec<Finding>
 /// Whether a context (one function fact) can reach a send/recv on the
 /// named endpoint: a local op, or passing the endpoint to a callee that
 /// operates on that parameter.
-fn reaches_op(ctx: &SummaryCtx, fact: &FnFact, file: usize, endpoint: &str, send: bool) -> Option<u32> {
+fn reaches_op(
+    ctx: &SummaryCtx,
+    fact: &FnFact,
+    file: usize,
+    endpoint: &str,
+    send: bool,
+) -> Option<u32> {
     for op in &fact.chan_ops {
         let hit = if send {
             op.op == ChanOpKind::Send

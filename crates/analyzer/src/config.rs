@@ -124,8 +124,12 @@ struct PartialEntry {
 
 impl PartialEntry {
     fn finish(self) -> Result<AllowEntry, String> {
-        let rule = self.rule.ok_or("lint.toml: [[allow]] entry missing `rule`")?;
-        let path = self.path.ok_or("lint.toml: [[allow]] entry missing `path`")?;
+        let rule = self
+            .rule
+            .ok_or("lint.toml: [[allow]] entry missing `rule`")?;
+        let path = self
+            .path
+            .ok_or("lint.toml: [[allow]] entry missing `path`")?;
         let reason = self
             .reason
             .filter(|r| !r.trim().is_empty())
@@ -229,9 +233,8 @@ reason = "bench harness may panic"
 
     #[test]
     fn unknown_rule_rejected() {
-        let err =
-            LintConfig::parse("[[allow]]\nrule = \"nope\"\npath = \"x\"\nreason = \"r\"\n")
-                .unwrap_err();
+        let err = LintConfig::parse("[[allow]]\nrule = \"nope\"\npath = \"x\"\nreason = \"r\"\n")
+            .unwrap_err();
         assert!(err.contains("unknown rule"), "{err}");
     }
 
@@ -248,6 +251,9 @@ reason = "bench harness may panic"
     #[test]
     fn empty_config_is_fine() {
         assert!(LintConfig::parse("").unwrap().allows.is_empty());
-        assert!(LintConfig::parse("# just a comment\n").unwrap().allows.is_empty());
+        assert!(LintConfig::parse("# just a comment\n")
+            .unwrap()
+            .allows
+            .is_empty());
     }
 }

@@ -30,27 +30,87 @@ pub const RULE_IDS: &[&str] = &[
 /// One-line description per rule id, used by `--list-rules` and the SARIF
 /// rule metadata. Kept in [`RULE_IDS`] order.
 pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
-    ("secret-print", "secret identifiers must not reach print/format macros"),
-    ("secret-debug", "secret-bearing structs must not derive Debug"),
-    ("zeroize-drop", "secret-bearing structs in victim crates need a zeroizing Drop"),
-    ("const-time", "no early-exit comparisons or branches on secret data"),
-    ("forbid-unsafe", "every crate root keeps #![forbid(unsafe_code)]"),
-    ("truncating-cast", "no narrowing casts on DRAM address arithmetic"),
+    (
+        "secret-print",
+        "secret identifiers must not reach print/format macros",
+    ),
+    (
+        "secret-debug",
+        "secret-bearing structs must not derive Debug",
+    ),
+    (
+        "zeroize-drop",
+        "secret-bearing structs in victim crates need a zeroizing Drop",
+    ),
+    (
+        "const-time",
+        "no early-exit comparisons or branches on secret data",
+    ),
+    (
+        "forbid-unsafe",
+        "every crate root keeps #![forbid(unsafe_code)]",
+    ),
+    (
+        "truncating-cast",
+        "no narrowing casts on DRAM address arithmetic",
+    ),
     ("panic", "no unwrap/expect/panic! in library code"),
-    ("suppression", "lint:allow annotations must name known rules and give a reason"),
-    ("lossy-len-cast", "length-derived values must not be narrowed with `as`; use try_from"),
-    ("unbounded-loop", "service/scan loops must have an exit or consult a cancel/deadline control"),
-    ("untimed-io", "service socket reads need a read timeout and an Interrupted retry"),
-    ("lock-order", "Mutex acquisition order must be acyclic and never reentrant"),
-    ("secret-taint", "values derived from secret fields must not reach format/log sinks"),
-    ("zeroize-coverage", "structs holding secret-tainted data need a zeroizing Drop"),
-    ("panic-reachability", "service worker/connection paths must not reach a panic"),
-    ("blocking-in-worker", "queue workers must not perform blocking socket IO"),
-    ("atomic-ordering", "Relaxed stores that publish to another thread role need Release/Acquire"),
-    ("blocking-in-event-loop", "event-loop and connection-handler threads must not sleep or block"),
-    ("channel-deadlock", "rendezvous send+recv on one thread, or unwrapped cross-thread sends"),
-    ("join-leak", "spawned JoinHandles must be joined, kept, or explicitly detached"),
-    ("stale-allow", "lint.toml allow entries must match at least one raw finding"),
+    (
+        "suppression",
+        "lint:allow annotations must name known rules and give a reason",
+    ),
+    (
+        "lossy-len-cast",
+        "length-derived values must not be narrowed with `as`; use try_from",
+    ),
+    (
+        "unbounded-loop",
+        "service/scan loops must have an exit or consult a cancel/deadline control",
+    ),
+    (
+        "untimed-io",
+        "service socket reads need a read timeout and an Interrupted retry",
+    ),
+    (
+        "lock-order",
+        "Mutex acquisition order must be acyclic and never reentrant",
+    ),
+    (
+        "secret-taint",
+        "values derived from secret fields must not reach format/log sinks",
+    ),
+    (
+        "zeroize-coverage",
+        "structs holding secret-tainted data need a zeroizing Drop",
+    ),
+    (
+        "panic-reachability",
+        "service worker/connection paths must not reach a panic",
+    ),
+    (
+        "blocking-in-worker",
+        "queue workers must not perform blocking socket IO",
+    ),
+    (
+        "atomic-ordering",
+        "Relaxed stores that publish to another thread role need Release/Acquire",
+    ),
+    (
+        "blocking-in-event-loop",
+        "event-loop and connection-handler threads must not sleep or block",
+    ),
+    (
+        "channel-deadlock",
+        "rendezvous send+recv on one thread, or unwrapped cross-thread sends",
+    ),
+    (
+        "join-leak",
+        "spawned JoinHandles must be joined, kept, or explicitly detached",
+    ),
+    (
+        "stale-allow",
+        "lint.toml allow entries must match at least one raw finding",
+    ),
 ];
 
 /// Per-rule rationale and fix example for the CLI's `--explain`. Kept in
@@ -344,8 +404,7 @@ impl Baseline {
                 continue;
             }
             let mut parts = line.split('\t');
-            let (Some(rule), Some(file), Some(item)) =
-                (parts.next(), parts.next(), parts.next())
+            let (Some(rule), Some(file), Some(item)) = (parts.next(), parts.next(), parts.next())
             else {
                 return Err(format!(
                     "baseline:{}: expected `rule<TAB>file<TAB>item`",
@@ -461,7 +520,10 @@ mod tests {
     #[test]
     fn every_rule_has_a_description() {
         for rule in RULE_IDS {
-            assert!(!rule_description(rule).is_empty(), "missing description: {rule}");
+            assert!(
+                !rule_description(rule).is_empty(),
+                "missing description: {rule}"
+            );
         }
         assert_eq!(RULE_IDS.len(), RULE_DESCRIPTIONS.len());
     }
@@ -472,7 +534,10 @@ mod tests {
         for (i, rule) in RULE_IDS.iter().enumerate() {
             let (id, why, fix) = RULE_EXPLANATIONS[i];
             assert_eq!(id, *rule, "RULE_EXPLANATIONS out of order at {rule}");
-            assert!(!why.is_empty() && !fix.is_empty(), "empty explanation: {rule}");
+            assert!(
+                !why.is_empty() && !fix.is_empty(),
+                "empty explanation: {rule}"
+            );
             assert!(rule_explanation(rule).is_some());
         }
         assert!(rule_explanation("no-such-rule").is_none());

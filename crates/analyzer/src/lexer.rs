@@ -459,7 +459,10 @@ mod tests {
     fn raw_identifiers_are_idents_not_strings() {
         // `r#fn` once lexed as an unterminated raw string and swallowed
         // the rest of the file.
-        assert_eq!(texts("let r#fn = 1; after"), vec!["let", "fn", "=", "1", ";", "after"]);
+        assert_eq!(
+            texts("let r#fn = 1; after"),
+            vec!["let", "fn", "=", "1", ";", "after"]
+        );
     }
 
     #[test]

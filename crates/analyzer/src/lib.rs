@@ -54,8 +54,8 @@ pub use diag::{
     render_json, render_text, rule_explanation, Baseline, Finding, RULE_DESCRIPTIONS, RULE_IDS,
 };
 pub use engine::{
-    concurrency_findings, lint_sources, lint_sources_with, summarize_sources, LintOptions,
-    LintRun, RunStats, SourceFile, SummaryRun,
+    concurrency_findings, lint_sources, lint_sources_with, summarize_sources, LintOptions, LintRun,
+    RunStats, SourceFile, SummaryRun,
 };
 pub use sarif::render_sarif;
 pub use summaries::SummaryStats;

@@ -324,7 +324,9 @@ pub(crate) fn cycle_findings(edges: &[(String, LockEdge)]) -> Vec<Finding> {
     use std::collections::{BTreeMap, BTreeSet};
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (_, e) in edges {
-        adj.entry(e.held.as_str()).or_default().insert(e.acquired.as_str());
+        adj.entry(e.held.as_str())
+            .or_default()
+            .insert(e.acquired.as_str());
     }
     let reaches = |from: &str, to: &str| -> bool {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
@@ -344,12 +346,18 @@ pub(crate) fn cycle_findings(edges: &[(String, LockEdge)]) -> Vec<Finding> {
     };
     let mut sorted: Vec<&(String, LockEdge)> = edges.iter().collect();
     sorted.sort_by(|x, y| {
-        (x.0.as_str(), x.1.line, x.1.held.as_str(), x.1.acquired.as_str()).cmp(&(
-            y.0.as_str(),
-            y.1.line,
-            y.1.held.as_str(),
-            y.1.acquired.as_str(),
-        ))
+        (
+            x.0.as_str(),
+            x.1.line,
+            x.1.held.as_str(),
+            x.1.acquired.as_str(),
+        )
+            .cmp(&(
+                y.0.as_str(),
+                y.1.line,
+                y.1.held.as_str(),
+                y.1.acquired.as_str(),
+            ))
     });
     let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
     let mut findings = Vec::new();

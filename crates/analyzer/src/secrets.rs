@@ -25,9 +25,36 @@ const SECRET_STEMS: &[&str] = &[
 /// Final segments that mark an identifier as *metadata about* a secret
 /// (sizes, counts, addresses, flags) rather than the secret itself.
 const BENIGN_TAILS: &[&str] = &[
-    "size", "sizes", "len", "lens", "length", "lengths", "count", "counts", "id", "ids", "idx",
-    "index", "indices", "addr", "addrs", "address", "addresses", "bit", "bits", "offset",
-    "offsets", "policy", "kind", "kinds", "range", "ranges", "bytes", "words", "width", "widths",
+    "size",
+    "sizes",
+    "len",
+    "lens",
+    "length",
+    "lengths",
+    "count",
+    "counts",
+    "id",
+    "ids",
+    "idx",
+    "index",
+    "indices",
+    "addr",
+    "addrs",
+    "address",
+    "addresses",
+    "bit",
+    "bits",
+    "offset",
+    "offsets",
+    "policy",
+    "kind",
+    "kinds",
+    "range",
+    "ranges",
+    "bytes",
+    "words",
+    "width",
+    "widths",
 ];
 
 /// Splits an identifier into lowercase segments at `_` and camelCase
@@ -60,7 +87,9 @@ pub fn segments(ident: &str) -> Vec<String> {
 }
 
 pub(crate) fn singular(seg: &str) -> &str {
-    seg.strip_suffix('s').filter(|s| !s.is_empty()).unwrap_or(seg)
+    seg.strip_suffix('s')
+        .filter(|s| !s.is_empty())
+        .unwrap_or(seg)
 }
 
 /// True when `ident` names secret material under the lexicon rules above.
@@ -88,11 +117,11 @@ pub fn is_secret_ident(ident: &str) -> bool {
 /// `Vec<u32>`, `[u8;32]`, `Option<([u8;32],[u8;32])>`) is a byte/word
 /// container that could hold key material in recoverable form.
 pub fn is_container_type(ty: &str) -> bool {
-    let holds_words =
-        ["u8", "u16", "u32", "u64", "u128"].iter().any(|w| {
-            // Match the element type as a whole word inside the rendering.
-            ty.split(|c: char| !c.is_alphanumeric()).any(|tok| tok == *w)
-        });
+    let holds_words = ["u8", "u16", "u32", "u64", "u128"].iter().any(|w| {
+        // Match the element type as a whole word inside the rendering.
+        ty.split(|c: char| !c.is_alphanumeric())
+            .any(|tok| tok == *w)
+    });
     holds_words && (ty.contains('[') || ty.contains("Vec<"))
 }
 

@@ -94,9 +94,7 @@ pub(crate) struct ThreadRoles {
 
 impl ThreadRoles {
     pub(crate) fn has_role(&self, node: usize, role: ThreadRole) -> bool {
-        self.roles
-            .get(node)
-            .map_or(false, |r| r & role.bit() != 0)
+        self.roles.get(node).map_or(false, |r| r & role.bit() != 0)
     }
 
     pub(crate) fn root_for(&self, node: usize, role: ThreadRole) -> Option<&RoleRoot> {
@@ -124,9 +122,25 @@ impl ThreadRoles {
 /// Name segments that vote for each role, checked in precedence order —
 /// `worker_loop` must classify as a worker even though it ends in `loop`.
 const WORKER_SEGS: &[&str] = &["worker", "job"];
-const CONN_SEGS: &[&str] = &["handle", "handler", "connection", "conn", "client", "accept", "session"];
+const CONN_SEGS: &[&str] = &[
+    "handle",
+    "handler",
+    "connection",
+    "conn",
+    "client",
+    "accept",
+    "session",
+];
 const EVENT_SEGS: &[&str] = &["event", "poll", "react", "select"];
-const PRODUCER_SEGS: &[&str] = &["producer", "produce", "pipeline", "pipelined", "decode", "prefetch", "feed"];
+const PRODUCER_SEGS: &[&str] = &[
+    "producer",
+    "produce",
+    "pipeline",
+    "pipelined",
+    "decode",
+    "prefetch",
+    "feed",
+];
 
 /// Builds the role graph for the whole workspace.
 pub(crate) fn build(ctx: &SummaryCtx) -> ThreadRoles {

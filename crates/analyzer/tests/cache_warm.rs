@@ -7,10 +7,7 @@ use std::path::PathBuf;
 use coldboot_analyzer::{lint_sources_with, LintConfig, LintOptions, SourceFile};
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "coldboot-lint-warm-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("coldboot-lint-warm-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -62,10 +59,16 @@ fn warm_run_reanalyzes_nothing_and_edit_reanalyzes_one_file() {
         "pub fn intern(v: &[u8]) -> u32 { u32::try_from(v.len()).unwrap_or(u32::MAX) }\n"
             .to_string();
     let after_edit = lint_sources_with(&files, &config, &opts);
-    assert_eq!(after_edit.stats.reanalyzed, 1, "only the edited file re-parses");
+    assert_eq!(
+        after_edit.stats.reanalyzed, 1,
+        "only the edited file re-parses"
+    );
     assert_eq!(after_edit.stats.cached, 2);
     assert!(
-        after_edit.findings.iter().all(|f| f.rule != "lossy-len-cast"),
+        after_edit
+            .findings
+            .iter()
+            .all(|f| f.rule != "lossy-len-cast"),
         "{:?}",
         after_edit.findings
     );
@@ -111,7 +114,10 @@ fn callee_edit_invalidates_transitive_callers_only() {
     assert!(cold.findings.is_empty(), "{:?}", cold.findings);
 
     let warm = lint_sources_with(&files, &config, &opts);
-    assert_eq!(warm.stats.reanalyzed, 0, "unchanged tree re-analyzes nothing");
+    assert_eq!(
+        warm.stats.reanalyzed, 0,
+        "unchanged tree re-analyzes nothing"
+    );
     assert_eq!(warm.stats.cached, 4);
     assert_eq!(warm.stats.summarized, 0);
     assert_eq!(warm.stats.summary_cached, 4);

@@ -64,7 +64,11 @@ fn baseline_suppresses_and_unknown_flag_is_usage_error() {
     let denied = run(
         bin,
         &root,
-        &["--deny", "--baseline", baseline.to_str().expect("utf8 path")],
+        &[
+            "--deny",
+            "--baseline",
+            baseline.to_str().expect("utf8 path"),
+        ],
     );
     assert_eq!(
         denied.status.code(),
@@ -74,7 +78,11 @@ fn baseline_suppresses_and_unknown_flag_is_usage_error() {
     );
 
     let usage = run(bin, &root, &["--frobnicate"]);
-    assert_eq!(usage.status.code(), Some(2), "unknown flags are usage errors");
+    assert_eq!(
+        usage.status.code(),
+        Some(2),
+        "unknown flags are usage errors"
+    );
 
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -103,12 +103,8 @@ struct ScaleResult {
 /// One full swarm run against `worker_count` local workers.
 fn run_scale(worker_count: usize, dump: &PathBuf) -> ScaleResult {
     let workers: Vec<DumpService> = (0..worker_count).map(|_| start_worker()).collect();
-    let mut config = ClusterConfig::new(
-        workers
-            .iter()
-            .map(|w| w.local_addr().to_string())
-            .collect(),
-    );
+    let mut config =
+        ClusterConfig::new(workers.iter().map(|w| w.local_addr().to_string()).collect());
     config.shards = 1; // one shard per job: measure coordination, not splitting
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator");
     let cluster = ClusterServer::start(listener, config).expect("start coordinator");
@@ -150,14 +146,12 @@ fn run_scale(worker_count: usize, dump: &PathBuf) -> ScaleResult {
                     .collect();
                 for id in ids {
                     loop {
-                        let status =
-                            exchange(format!("{{\"verb\":\"status\",\"id\":{id}}}\n"));
+                        let status = exchange(format!("{{\"verb\":\"status\",\"id\":{id}}}\n"));
                         match status.get("state").and_then(Json::as_str) {
                             Some("done") => break,
-                            Some("failed") => panic!(
-                                "bench job failed: {}",
-                                status.render_compact()
-                            ),
+                            Some("failed") => {
+                                panic!("bench job failed: {}", status.render_compact())
+                            }
                             // The coordinator keeps only the newest 64
                             // finished jobs, and only finished jobs are
                             // forgotten; the failure count is checked

@@ -93,8 +93,14 @@ fn main() {
             "compression_ratio",
             Json::Num(IMAGE_BYTES as f64 / file.len() as f64),
         ),
-        ("encode_mib_per_s", Json::Num(mib_per_s(IMAGE_BYTES, encode_s))),
-        ("decode_mib_per_s", Json::Num(mib_per_s(IMAGE_BYTES, decode_s))),
+        (
+            "encode_mib_per_s",
+            Json::Num(mib_per_s(IMAGE_BYTES, encode_s)),
+        ),
+        (
+            "decode_mib_per_s",
+            Json::Num(mib_per_s(IMAGE_BYTES, decode_s)),
+        ),
         (
             "freq_scan_in_memory_mib_per_s",
             Json::Num(mib_per_s(IMAGE_BYTES, in_memory_s)),

@@ -135,10 +135,7 @@ fn main() {
             "parallel_speedup",
             Json::Num(cold_seq_s / cold_par_s.max(1e-9)),
         ),
-        (
-            "warm_speedup",
-            Json::Num(cold_par_s / warm_s.max(1e-9)),
-        ),
+        ("warm_speedup", Json::Num(cold_par_s / warm_s.max(1e-9))),
         ("warm_reanalyzed", Json::Int(warm_stats.reanalyzed as i64)),
         ("summary_fns", Json::Int(summary_fns as i64)),
         ("summary_cold_ms", Json::Num(summary_cold_s * 1e3)),

@@ -103,7 +103,10 @@ fn main() {
     let (detached_s, detached_n) = best_of(SAMPLES, || mine(&dump, None));
     let report_registry = MetricsRegistry::new();
     let (attached_s, attached_n) = best_of(SAMPLES, || mine(&dump, Some(&report_registry)));
-    assert_eq!(detached_n, attached_n, "candidate count moved between passes");
+    assert_eq!(
+        detached_n, attached_n,
+        "candidate count moved between passes"
+    );
 
     let overhead_pct = (attached_s / detached_s.max(1e-9) - 1.0) * 100.0;
     let doc = Json::obj([

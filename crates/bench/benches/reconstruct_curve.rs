@@ -126,7 +126,10 @@ fn main() {
     let keys = scrambler_keys();
     let candidates: Vec<CandidateKey> = keys
         .iter()
-        .map(|k| CandidateKey { key: *k, observations: 1 })
+        .map(|k| CandidateKey {
+            key: *k,
+            observations: 1,
+        })
         .collect();
 
     println!("reconstruct_curve: {TRIALS} trials per decay level");
@@ -157,7 +160,10 @@ fn main() {
             format!("decay_{tag}_reconstruct_recovery_rate"),
             Json::Num(level.reconstruct_rate),
         ));
-        pairs.push((format!("decay_{tag}_baseline_us"), Json::Num(level.baseline_us)));
+        pairs.push((
+            format!("decay_{tag}_baseline_us"),
+            Json::Num(level.baseline_us),
+        ));
         pairs.push((
             format!("decay_{tag}_reconstruct_us"),
             Json::Num(level.reconstruct_us),

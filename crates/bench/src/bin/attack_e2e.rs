@@ -45,7 +45,12 @@ fn main() {
 
     println!("== Stage 0: the victim ==");
     let volume = Volume::create(PASSWORD, SECRET, &mut SplitMix64::new(2024));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        1,
+    );
     let size = victim.capacity() as usize;
     // A module at the retentive end of the paper's observed 90-99% charge
     // retention range (the demonstrated attack implies such a module: a 3%
@@ -64,8 +69,12 @@ fn main() {
     );
 
     println!("== Stage 1: freeze to -25C, pull, carry 5s, re-socket ==");
-    let mut attacker =
-        Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        2,
+    );
     let t = Instant::now();
     let dump = capture_dump_via_transplant(
         &mut victim,
@@ -82,8 +91,12 @@ fn main() {
     {
         // Measure what the transfer actually cost (attacker could not know
         // this; reported for the experiment record).
-        let mut pristine =
-            Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 1);
+        let mut pristine = Machine::new(
+            Microarchitecture::Skylake,
+            geometry,
+            BiosConfig::default(),
+            1,
+        );
         pristine
             .insert_module(DramModule::with_quality(size, 42, 0.35))
             .unwrap();
@@ -144,8 +157,15 @@ fn main() {
         tweak_key: pair[1].master_key.clone().try_into().expect("32-byte key"),
     };
     let plaintext = volume.decrypt_all(&master).expect("decryption failed");
-    assert_eq!(&plaintext[..SECRET.len()], SECRET, "recovered keys are wrong");
+    assert_eq!(
+        &plaintext[..SECRET.len()],
+        SECRET,
+        "recovered keys are wrong"
+    );
     println!("   decrypted volume WITHOUT the password:");
-    println!("   >>> {}", String::from_utf8_lossy(&plaintext[..SECRET.len()]));
+    println!(
+        "   >>> {}",
+        String::from_utf8_lossy(&plaintext[..SECRET.len()])
+    );
     println!("\nCold boot attack on scrambled DDR4: SUCCESS");
 }

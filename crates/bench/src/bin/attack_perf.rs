@@ -83,10 +83,8 @@ fn e2e_attack_stage(e2e_mib: usize) -> (f64, AttackReport) {
             *b ^= k;
         }
     }
-    let path = std::env::temp_dir().join(format!(
-        "coldboot-attack-perf-{}.cbdf",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("coldboot-attack-perf-{}.cbdf", std::process::id()));
     let cbdf = write_image(
         Vec::new(),
         DumpMeta::for_image(0, image.len() as u64),

@@ -17,7 +17,10 @@ fn main() -> ExitCode {
     let regressions = match history::diff_latest(&path) {
         Ok(r) => r,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            println!("bench-diff: {} not found; nothing to compare", path.display());
+            println!(
+                "bench-diff: {} not found; nothing to compare",
+                path.display()
+            );
             return ExitCode::SUCCESS;
         }
         Err(e) => {

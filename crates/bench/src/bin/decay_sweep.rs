@@ -28,18 +28,53 @@ struct Scenario {
 }
 
 const SCENARIOS: [Scenario; 6] = [
-    Scenario { label: "-50C, 5s, nominal module", freeze_c: -50.0, transfer_s: 5.0, quality: 1.0 },
-    Scenario { label: "-25C, 5s, retentive module", freeze_c: -25.0, transfer_s: 5.0, quality: 0.35 },
-    Scenario { label: "-25C, 5s, nominal module", freeze_c: -25.0, transfer_s: 5.0, quality: 1.0 },
-    Scenario { label: "-25C, 15s, retentive module", freeze_c: -25.0, transfer_s: 15.0, quality: 0.35 },
-    Scenario { label: "-25C, 5s, leaky module", freeze_c: -25.0, transfer_s: 5.0, quality: 4.0 },
-    Scenario { label: "+20C, 3s (no freezing)", freeze_c: 20.0, transfer_s: 3.0, quality: 1.0 },
+    Scenario {
+        label: "-50C, 5s, nominal module",
+        freeze_c: -50.0,
+        transfer_s: 5.0,
+        quality: 1.0,
+    },
+    Scenario {
+        label: "-25C, 5s, retentive module",
+        freeze_c: -25.0,
+        transfer_s: 5.0,
+        quality: 0.35,
+    },
+    Scenario {
+        label: "-25C, 5s, nominal module",
+        freeze_c: -25.0,
+        transfer_s: 5.0,
+        quality: 1.0,
+    },
+    Scenario {
+        label: "-25C, 15s, retentive module",
+        freeze_c: -25.0,
+        transfer_s: 15.0,
+        quality: 0.35,
+    },
+    Scenario {
+        label: "-25C, 5s, leaky module",
+        freeze_c: -25.0,
+        transfer_s: 5.0,
+        quality: 4.0,
+    },
+    Scenario {
+        label: "+20C, 3s (no freezing)",
+        freeze_c: 20.0,
+        transfer_s: 3.0,
+        quality: 1.0,
+    },
 ];
 
 fn run_scenario(s: &Scenario, seed: u64, deep: bool) -> (f64, usize, usize) {
     let geometry = micro_geometry();
     let volume = Volume::create(b"pw", b"sweep secret", &mut SplitMix64::new(seed));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), seed);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        seed,
+    );
     let size = victim.capacity() as usize;
     victim
         .insert_module(DramModule::with_quality(size, seed, s.quality))
@@ -48,8 +83,12 @@ fn run_scenario(s: &Scenario, seed: u64, deep: bool) -> (f64, usize, usize) {
     MountedVolume::mount(&mut victim, &volume, b"pw", 0x4_0040).expect("mountable");
     let pristine = victim.module().expect("socketed").contents().to_vec();
 
-    let mut attacker =
-        Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), seed + 500);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        seed + 500,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -93,11 +132,24 @@ fn main() {
         ];
         if deep {
             let (_, _, deep_recovered) = run_scenario(s, 100 + i as u64, true);
-            row.push(if deep_recovered >= 2 { "SUCCESS" } else { "failed" }.to_string());
+            row.push(
+                if deep_recovered >= 2 {
+                    "SUCCESS"
+                } else {
+                    "failed"
+                }
+                .to_string(),
+            );
         }
         rows.push(row);
     }
-    let mut headers = vec!["scenario", "bit error rate", "mined keys", "recovered", "outcome"];
+    let mut headers = vec![
+        "scenario",
+        "bit error rate",
+        "mined keys",
+        "recovered",
+        "outcome",
+    ];
     if deep {
         headers.push("deep outcome");
     }

@@ -51,16 +51,34 @@ fn attack(mut victim: Machine, attacker: &mut Machine) -> (usize, usize, f64) {
     };
     let report = run_ddr4_attack(&dump, &config);
     let entropy = obfuscation_report(&dump).entropy_bits;
-    (report.candidates.len(), report.outcome.recovered.len(), entropy)
+    (
+        report.candidates.len(),
+        report.outcome.recovered.len(),
+        entropy,
+    )
 }
 
 fn main() {
-    let volume = Volume::create(b"pw", b"the same secret on both machines", &mut SplitMix64::new(5));
+    let volume = Volume::create(
+        b"pw",
+        b"the same secret on both machines",
+        &mut SplitMix64::new(5),
+    );
     let geometry = micro_geometry();
 
     // Baseline: stock Skylake scrambler — the attack succeeds.
-    let victim = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 1);
-    let mut attacker = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 2);
+    let victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        1,
+    );
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        2,
+    );
     let (cand_s, rec_s, ent_s) = attack(prepare_victim(victim, &volume), &mut attacker);
 
     // Defense: ChaCha8 engine in place of the scrambler.

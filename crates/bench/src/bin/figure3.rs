@@ -105,7 +105,13 @@ fn main() {
     }
     table::print(
         "Figure 3: obfuscation metrics per panel",
-        &["panel", "blocks", "distinct blocks", "dup fraction", "entropy bits/byte"],
+        &[
+            "panel",
+            "blocks",
+            "distinct blocks",
+            "dup fraction",
+            "entropy bits/byte",
+        ],
         &rows,
     );
 

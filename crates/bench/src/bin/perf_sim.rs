@@ -12,7 +12,10 @@ use coldboot_memenc::simulation::{AccessPattern, ReadSimulator};
 
 const ACCESSES: usize = 100_000;
 
-fn run(engine: Option<EngineKind>, pattern: AccessPattern) -> coldboot_memenc::simulation::SimResult {
+fn run(
+    engine: Option<EngineKind>,
+    pattern: AccessPattern,
+) -> coldboot_memenc::simulation::SimResult {
     let geometry = DramGeometry::ddr4_dual_channel_8gib();
     let mapping = AddressMapping::new(Microarchitecture::Skylake, geometry);
     let mut sim = ReadSimulator::new(
@@ -52,7 +55,13 @@ fn main() {
     }
     table::print(
         &format!("Average read latency over {ACCESSES} accesses (fastest JEDEC DDR4, CL 12.5 ns)"),
-        &["pattern", "interface", "row hits", "avg latency ns", "overhead"],
+        &[
+            "pattern",
+            "interface",
+            "row hits",
+            "avg latency ns",
+            "overhead",
+        ],
         &rows,
     );
     println!(

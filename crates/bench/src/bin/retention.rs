@@ -15,13 +15,34 @@ struct TestedModule {
 }
 
 const MODULES: [TestedModule; 7] = [
-    TestedModule { name: "DDR3-A", quality: 1.1 },
-    TestedModule { name: "DDR3-B", quality: 0.9 },
-    TestedModule { name: "DDR3-C", quality: 1.3 },
-    TestedModule { name: "DDR3-D (leaky)", quality: 4.0 },
-    TestedModule { name: "DDR3-E", quality: 1.0 },
-    TestedModule { name: "DDR4-A", quality: 0.8 },
-    TestedModule { name: "DDR4-B", quality: 1.0 },
+    TestedModule {
+        name: "DDR3-A",
+        quality: 1.1,
+    },
+    TestedModule {
+        name: "DDR3-B",
+        quality: 0.9,
+    },
+    TestedModule {
+        name: "DDR3-C",
+        quality: 1.3,
+    },
+    TestedModule {
+        name: "DDR3-D (leaky)",
+        quality: 4.0,
+    },
+    TestedModule {
+        name: "DDR3-E",
+        quality: 1.0,
+    },
+    TestedModule {
+        name: "DDR4-A",
+        quality: 0.8,
+    },
+    TestedModule {
+        name: "DDR4-B",
+        quality: 1.0,
+    },
 ];
 
 const SIZE: usize = 1 << 18; // 256 KiB sample per measurement
@@ -52,7 +73,10 @@ fn main() {
     for &t in &temps {
         let mut row = vec![format!("{t:>5.0} C")];
         for &s in &times {
-            row.push(format!("{:.1}%", 100.0 * model.retention_fraction(t, s, 1.0)));
+            row.push(format!(
+                "{:.1}%",
+                100.0 * model.retention_fraction(t, s, 1.0)
+            ));
         }
         rows.push(row);
     }

@@ -82,7 +82,12 @@ fn analyze(uarch: Microarchitecture, id: u64) -> Result<Census, MachineError> {
 
 fn main() {
     let configs = [
-        ("DDR3 (SandyBridge)", Microarchitecture::SandyBridge, 16usize, 1usize),
+        (
+            "DDR3 (SandyBridge)",
+            Microarchitecture::SandyBridge,
+            16usize,
+            1usize,
+        ),
         ("DDR4 (Skylake)", Microarchitecture::Skylake, 4096, 4096),
     ];
     let mut rows = Vec::new();

@@ -97,10 +97,8 @@ pub fn regressions_between(bench: &str, previous: &Json, latest: &Json) -> Vec<R
     };
     let mut out = Vec::new();
     for (field, value) in fields {
-        let (Some(new), Some(old)) = (
-            value.as_f64(),
-            previous.get(field).and_then(Json::as_f64),
-        ) else {
+        let (Some(new), Some(old)) = (value.as_f64(), previous.get(field).and_then(Json::as_f64))
+        else {
             continue;
         };
         if !new.is_finite() || !old.is_finite() || old <= 0.0 {
@@ -288,8 +286,7 @@ mod tests {
         let slower = regressions_between("dumpd", &doc(1000.0, 5000.0), &doc(800.0, 5000.0));
         assert_eq!(slower.len(), 1, "{slower:?}");
         assert_eq!(slower[0].field, "jobs_per_s");
-        let longer_wait =
-            regressions_between("dumpd", &doc(1000.0, 5000.0), &doc(1000.0, 6000.0));
+        let longer_wait = regressions_between("dumpd", &doc(1000.0, 5000.0), &doc(1000.0, 6000.0));
         assert_eq!(longer_wait.len(), 1, "{longer_wait:?}");
         assert_eq!(longer_wait[0].field, "p99_queue_wait_us");
         // Moving both in the *good* direction must not trip the gate.

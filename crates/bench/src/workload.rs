@@ -63,7 +63,11 @@ pub fn generate_image(len: usize, mix: WorkloadMix, seed: u64) -> Vec<u8> {
         if class < mix.zero {
             // Already zero.
         } else if class < mix.zero + mix.constant {
-            let b = if rng.gen_bool(0.5) { 0xFF } else { rng.next_u64() as u8 };
+            let b = if rng.gen_bool(0.5) {
+                0xFF
+            } else {
+                rng.next_u64() as u8
+            };
             block.fill(b);
         } else if class < mix.zero + mix.constant + mix.text {
             for byte in block.iter_mut() {
@@ -86,7 +90,11 @@ pub fn generate_image(len: usize, mix: WorkloadMix, seed: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// Fails if the machine has no module.
-pub fn fill_realistic(machine: &mut Machine, mix: WorkloadMix, seed: u64) -> Result<(), MachineError> {
+pub fn fill_realistic(
+    machine: &mut Machine,
+    mix: WorkloadMix,
+    seed: u64,
+) -> Result<(), MachineError> {
     let capacity = machine.capacity() as usize;
     let image = generate_image(capacity, mix, seed);
     // Write in 64 KiB strides to bound temporary allocations inside the

@@ -127,7 +127,9 @@ struct Shared {
 /// Locks a mutex, continuing through poisoning: scheduler state stays
 /// usable even if some thread panicked while holding it.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn duration_us(d: Duration) -> u64 {
@@ -553,12 +555,7 @@ fn next_task(shared: &Arc<Shared>) -> Option<Task> {
 
 /// Drives one shard attempt against the worker: submit, then `wait`
 /// until the worker's job is terminal.
-fn run_shard(
-    wire: &mut Option<Wire>,
-    addr: &str,
-    task: &Task,
-    shared: &Arc<Shared>,
-) -> Outcome {
+fn run_shard(wire: &mut Option<Wire>, addr: &str, task: &Task, shared: &Arc<Shared>) -> Outcome {
     let opts = &shared.opts;
     if wire.is_none() {
         match Wire::connect(addr, opts) {
@@ -665,9 +662,7 @@ fn deliver(shared: &Arc<Shared>, task: &Task, body: &Json) {
     let mut state = lock(&shared.state);
     let merge_started = Instant::now();
     let step = match state.jobs.get_mut(task.job) {
-        Some(entry) if entry.state == JobState::Running => {
-            entry.assembly.accept(&task.shard, body)
-        }
+        Some(entry) if entry.state == JobState::Running => entry.assembly.accept(&task.shard, body),
         _ => return, // job failed while this shard was in flight
     };
     metrics

@@ -388,18 +388,14 @@ impl Assembly {
     fn finish_phase(&mut self) -> Step {
         match (self.spec.kind, self.phase) {
             (JobKind::Mine, Phase::Mine) => {
-                let miner = std::mem::replace(
-                    &mut self.miner,
-                    KeyMiner::new(&MiningConfig::default()),
-                );
+                let miner =
+                    std::mem::replace(&mut self.miner, KeyMiner::new(&MiningConfig::default()));
                 self.phase = Phase::Complete;
                 Step::Done(keys_json("mine", &miner.finish()))
             }
             (JobKind::Attack, Phase::Mine) => {
-                let miner = std::mem::replace(
-                    &mut self.miner,
-                    KeyMiner::new(&MiningConfig::default()),
-                );
+                let miner =
+                    std::mem::replace(&mut self.miner, KeyMiner::new(&MiningConfig::default()));
                 self.candidates = miner.finish();
                 self.phase = Phase::Search;
                 let requests = self.plan_current();
@@ -422,10 +418,7 @@ impl Assembly {
                             ("key_bits", Json::Int((r.master_key.len() * 8) as i64)),
                             ("master_hex", Json::Str(wire::hex_lower(&r.master_key))),
                             ("schedule_addr", Json::Int(r.schedule_addr as i64)),
-                            (
-                                "total_error_bits",
-                                Json::Int(i64::from(r.total_error_bits)),
-                            ),
+                            ("total_error_bits", Json::Int(i64::from(r.total_error_bits))),
                             (
                                 "unexplained_blocks",
                                 Json::Int(i64::from(r.unexplained_blocks)),
@@ -438,10 +431,7 @@ impl Assembly {
                             ));
                         }
                         if let Some(flips) = r.flips {
-                            fields.push((
-                                "to_ground_bits",
-                                Json::Int(i64::from(flips.to_ground)),
-                            ));
+                            fields.push(("to_ground_bits", Json::Int(i64::from(flips.to_ground))));
                             fields.push((
                                 "anti_ground_bits",
                                 Json::Int(i64::from(flips.anti_ground)),
@@ -570,13 +560,7 @@ mod tests {
             vec![obs(1, 2, 4), obs(3, 9, 90)],
         ];
         let spec = JobSpec::new(JobKind::Mine, "/d.cbdf");
-        let mut assembly = Assembly::new(
-            JobSpec {
-                shards: 2,
-                ..spec
-            },
-            4 * BLOCK,
-        );
+        let mut assembly = Assembly::new(JobSpec { shards: 2, ..spec }, 4 * BLOCK);
         let Step::Dispatch(requests) = assembly.begin() else {
             panic!("expected dispatch");
         };
@@ -585,7 +569,10 @@ mod tests {
             requests[0].body.get("kind").and_then(Json::as_str),
             Some("mine")
         );
-        assert_eq!(requests[0].body.get("verb").and_then(Json::as_str), Some("submit"));
+        assert_eq!(
+            requests[0].body.get("verb").and_then(Json::as_str),
+            Some("submit")
+        );
 
         // Deliver out of order: absorption is commutative.
         let mut done = None;
@@ -655,17 +642,19 @@ mod tests {
             ),
             Ok(Step::Wait)
         ));
-        let Ok(Step::Dispatch(search_reqs)) = assembly.accept(
-            &mine_reqs[1].shard,
-            &mine_reply(&mine_reqs[1].shard, &[]),
-        ) else {
+        let Ok(Step::Dispatch(search_reqs)) =
+            assembly.accept(&mine_reqs[1].shard, &mine_reply(&mine_reqs[1].shard, &[]))
+        else {
             panic!("expected search dispatch");
         };
         assert_eq!(search_reqs.len(), 2, "search covers the whole image");
         assert_eq!(search_reqs[0].shard, 0..4);
         assert_eq!(search_reqs[1].shard, 4..8);
         let body = &search_reqs[0].body;
-        assert_eq!(body.get("kind").and_then(Json::as_str), Some("search_shard"));
+        assert_eq!(
+            body.get("kind").and_then(Json::as_str),
+            Some("search_shard")
+        );
         assert_eq!(body.get("deep").and_then(Json::as_bool), Some(true));
         let forwarded = body
             .get("candidates")
@@ -715,7 +704,10 @@ mod tests {
             Some(reference.hits.len() as i64)
         );
         assert_eq!(merged.get("blocks_scanned").and_then(Json::as_i64), Some(8));
-        let recovered = merged.get("recovered").and_then(Json::as_arr).expect("array");
+        let recovered = merged
+            .get("recovered")
+            .and_then(Json::as_arr)
+            .expect("array");
         assert_eq!(recovered.len(), reference.recovered.len());
         assert_eq!(recovered.len(), 1, "overlap dedups to one recovery");
         let row = &recovered[0];
@@ -752,14 +744,20 @@ mod tests {
         };
         let body = &search_reqs[0].body;
         assert_eq!(body.get("ground").and_then(Json::as_str), Some("/g.cbdf"));
-        assert_eq!(body.get("decay_fraction").and_then(Json::as_f64), Some(0.19));
+        assert_eq!(
+            body.get("decay_fraction").and_then(Json::as_f64),
+            Some(0.19)
+        );
         assert_eq!(body.get("work_budget").and_then(Json::as_i64), Some(512));
 
         // A channel-mode recovery renders its extra fields in the merged
         // attack result, exactly as the single-node row would.
         let mut rec = recovery(1, 2 * BLOCK);
         rec.cost_millinats = Some(4242);
-        rec.flips = Some(FlipCounts { to_ground: 17, anti_ground: 0 });
+        rec.flips = Some(FlipCounts {
+            to_ground: 17,
+            anti_ground: 0,
+        });
         let partial = SearchPartial {
             hits: vec![rec.hit.clone()],
             recoveries: vec![rec],
@@ -771,8 +769,14 @@ mod tests {
         ) else {
             panic!("expected done");
         };
-        let recovered = merged.get("recovered").and_then(Json::as_arr).expect("array");
-        assert_eq!(recovered[0].get("cost_mnat").and_then(Json::as_i64), Some(4242));
+        let recovered = merged
+            .get("recovered")
+            .and_then(Json::as_arr)
+            .expect("array");
+        assert_eq!(
+            recovered[0].get("cost_mnat").and_then(Json::as_i64),
+            Some(4242)
+        );
         assert_eq!(
             recovered[0].get("to_ground_bits").and_then(Json::as_i64),
             Some(17)
@@ -806,7 +810,9 @@ mod tests {
         let shard = requests[0].shard.clone();
 
         // Unknown shard range.
-        assert!(assembly.accept(&(9..12), &mine_reply(&(9..12), &[])).is_err());
+        assert!(assembly
+            .accept(&(9..12), &mine_reply(&(9..12), &[]))
+            .is_err());
         // Wrong reply kind for the phase.
         let wrong = freq_reply(&shard, &[]);
         assert!(assembly.accept(&shard, &wrong).is_err());

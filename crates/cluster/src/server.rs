@@ -554,10 +554,20 @@ mod tests {
 
     #[test]
     fn retryable_codes_cover_the_front_end_limits() {
-        for code in ["rate_limited", "quota_exceeded", "queue_full", "shutting_down"] {
+        for code in [
+            "rate_limited",
+            "quota_exceeded",
+            "queue_full",
+            "shutting_down",
+        ] {
             assert!(cluster_code_retryable(code), "{code}");
         }
-        for code in ["bad_request", "unknown_verb", "unknown_job", "malformed_request"] {
+        for code in [
+            "bad_request",
+            "unknown_verb",
+            "unknown_job",
+            "malformed_request",
+        ] {
             assert!(!cluster_code_retryable(code), "{code}");
         }
     }
@@ -567,7 +577,10 @@ mod tests {
         let reply = fail("rate_limited", "slow down");
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"));
-        assert_eq!(reply.get("code").and_then(Json::as_str), Some("rate_limited"));
+        assert_eq!(
+            reply.get("code").and_then(Json::as_str),
+            Some("rate_limited")
+        );
         assert_eq!(reply.get("retryable").and_then(Json::as_bool), Some(true));
         assert_eq!(reply.get("error").and_then(Json::as_str), Some("slow down"));
     }

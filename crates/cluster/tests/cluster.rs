@@ -36,14 +36,24 @@ fn dump_file(name: &str, seed: u64) -> PathBuf {
         blocks_per_row: 64,
     };
     let volume = Volume::create(b"pw", b"the secret payload", &mut SplitMix64::new(seed));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        1,
+    );
     let capacity = victim.capacity() as usize;
     victim
         .insert_module(DramModule::with_quality(capacity, seed, 0.35))
         .expect("fresh socket");
     victim.fill(0).expect("module present");
     MountedVolume::mount(&mut victim, &volume, b"pw", 0x8_0070).expect("correct password");
-    let mut attacker = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        2,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -423,11 +433,24 @@ fn killing_a_worker_mid_job_requeues_shards_and_rejoins() {
     std::thread::sleep(Duration::from_millis(400)); // failures accumulate, worker evicted
     proxy.set_down(false);
 
-    assert_eq!(client.done_result_line(id), expected, "failover changed the result");
+    assert_eq!(
+        client.done_result_line(id),
+        expected,
+        "failover changed the result"
+    );
     let stats = client.stats();
-    assert!(counter(&stats, "cluster_shards_requeued") >= 1, "no shard was re-queued");
-    assert!(counter(&stats, "cluster_worker_evictions") >= 1, "worker was not evicted");
-    assert!(counter(&stats, "cluster_worker_rejoins") >= 1, "worker did not rejoin");
+    assert!(
+        counter(&stats, "cluster_shards_requeued") >= 1,
+        "no shard was re-queued"
+    );
+    assert!(
+        counter(&stats, "cluster_worker_evictions") >= 1,
+        "worker was not evicted"
+    );
+    assert!(
+        counter(&stats, "cluster_worker_rejoins") >= 1,
+        "worker did not rejoin"
+    );
     assert_eq!(counter(&stats, "cluster_jobs_failed"), 0);
     cluster.shutdown();
 }
@@ -448,13 +471,19 @@ fn rate_limits_and_job_quotas_reject_with_retryable_codes() {
     let mut client = Client::connect(rate_cluster.local_addr());
     for _ in 0..3 {
         assert_eq!(
-            client.raw(r#"{"verb":"ping"}"#).get("ok").and_then(Json::as_bool),
+            client
+                .raw(r#"{"verb":"ping"}"#)
+                .get("ok")
+                .and_then(Json::as_bool),
             Some(true)
         );
     }
     let reply = client.raw(r#"{"verb":"ping"}"#);
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(reply.get("code").and_then(Json::as_str), Some("rate_limited"));
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("rate_limited")
+    );
     assert_eq!(reply.get("retryable").and_then(Json::as_bool), Some(true));
     assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"));
     // A fresh window admits requests again.
@@ -478,7 +507,10 @@ fn rate_limits_and_job_quotas_reject_with_retryable_codes() {
         ("dump", path_str(&path)),
     ]);
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(reply.get("code").and_then(Json::as_str), Some("quota_exceeded"));
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("quota_exceeded")
+    );
     assert_eq!(reply.get("retryable").and_then(Json::as_bool), Some(true));
     assert_eq!(client.wait_terminal(long_job), "done");
     // The finished job no longer counts against the quota.
@@ -519,7 +551,10 @@ fn graceful_drain_finishes_in_flight_shards() {
 
     // Start the drain while the job is in flight.
     assert_eq!(
-        client.raw(r#"{"verb":"shutdown"}"#).get("ok").and_then(Json::as_bool),
+        client
+            .raw(r#"{"verb":"shutdown"}"#)
+            .get("ok")
+            .and_then(Json::as_bool),
         Some(true)
     );
     assert!(cluster.is_draining());

@@ -569,10 +569,7 @@ mod tests {
                 if a >= b {
                     continue;
                 }
-                let w = MemoryDump::new(
-                    dump.bytes()[a * 64..b * 64].to_vec(),
-                    dump.block_addr(a),
-                );
+                let w = MemoryDump::new(dump.bytes()[a * 64..b * 64].to_vec(), dump.block_addr(a));
                 let mut shard = ddr3::FrequencyCounter::new();
                 shard.absorb(&w);
                 merged.absorb_counts(shard.into_counts());

@@ -122,7 +122,8 @@ mod tests {
             .map(|b| {
                 let addr = b * 64;
                 let id = b % (1 << n_bits);
-                let key = core::array::from_fn(|i| (id as u8).wrapping_mul(37).wrapping_add(i as u8));
+                let key =
+                    core::array::from_fn(|i| (id as u8).wrapping_mul(37).wrapping_add(i as u8));
                 (addr, key)
             })
             .collect()
@@ -163,10 +164,7 @@ mod tests {
     fn sparse_observations_still_work() {
         // Only even blocks observed: bit 6 pairs never co-occur, so it can
         // be neither confirmed nor denied; bit 7 upward still resolves.
-        let obs: Vec<(u64, [u8; 64])> = observations(4, 256)
-            .into_iter()
-            .step_by(2)
-            .collect();
+        let obs: Vec<(u64, [u8; 64])> = observations(4, 256).into_iter().step_by(2).collect();
         let inf = infer_key_mapping(&obs).expect("non-empty observations");
         assert!(!inf.selector_bits.contains(&6));
         assert!(!inf.ignored_bits.contains(&6));

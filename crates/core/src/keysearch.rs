@@ -411,7 +411,15 @@ pub fn aes_block_litmus_words(
         if !filter.viable(key_size, tolerance) {
             continue;
         }
-        litmus_offset(span, key_size, tolerance, exhaustive, oi * 4, filter, &mut matches);
+        litmus_offset(
+            span,
+            key_size,
+            tolerance,
+            exhaustive,
+            oi * 4,
+            filter,
+            &mut matches,
+        );
     }
     matches
 }
@@ -557,7 +565,13 @@ pub fn verify_and_recover(
     hit: &ScheduleHit,
     config: &SearchConfig,
 ) -> Option<RecoveredAesKey> {
-    verify_and_recover_with(dump, candidates, hit, config, &mut ReconstructTally::default())
+    verify_and_recover_with(
+        dump,
+        candidates,
+        hit,
+        config,
+        &mut ReconstructTally::default(),
+    )
 }
 
 /// [`verify_and_recover`] with an explicit work tally: branch-and-bound
@@ -2236,7 +2250,11 @@ mod tests {
 
     /// Builds a dump: `pre` bytes of filler, then the schedule, then filler,
     /// XORed per-block with the given repeating key set.
-    fn build_dump(pre: usize, key: &[u8], scrambler_keys: &[[u8; 64]]) -> (MemoryDump, Vec<CandidateKey>) {
+    fn build_dump(
+        pre: usize,
+        key: &[u8],
+        scrambler_keys: &[[u8; 64]],
+    ) -> (MemoryDump, Vec<CandidateKey>) {
         let sched = schedule_bytes(key);
         let mut image = vec![0x11u8; pre];
         image.extend_from_slice(&sched);
@@ -2261,13 +2279,17 @@ mod tests {
 
     fn test_keys() -> Vec<[u8; 64]> {
         (0..4u8)
-            .map(|t| core::array::from_fn(|i| (i as u8).wrapping_mul(7).wrapping_add(t * 53) ^ 0x5A))
+            .map(|t| {
+                core::array::from_fn(|i| (i as u8).wrapping_mul(7).wrapping_add(t * 53) ^ 0x5A)
+            })
             .collect()
     }
 
     #[test]
     fn litmus_recognizes_clean_schedule_blocks() {
-        let key: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(7).wrapping_add(1)).collect();
+        let key: Vec<u8> = (0..32u8)
+            .map(|i| i.wrapping_mul(7).wrapping_add(1))
+            .collect();
         let sched = schedule_bytes(&key);
         // Block 1 of the (aligned) schedule: bytes 64..128 = words 16..32.
         let block: [u8; 64] = sched[64..128].try_into().unwrap();
@@ -2330,7 +2352,9 @@ mod tests {
     fn litmus_tolerates_bit_decay_in_prediction_target() {
         // NOTE: a varied key — repeated-byte keys produce degenerate
         // schedules with coincidental matches at shifted positions.
-        let key: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(41).wrapping_add(3)).collect();
+        let key: Vec<u8> = (0..32u8)
+            .map(|i| i.wrapping_mul(41).wrapping_add(3))
+            .collect();
         let sched = schedule_bytes(&key);
         let mut block: [u8; 64] = sched[64..128].try_into().unwrap();
         // Damage the *predicted* region (last 16 bytes of the 48-byte span),
@@ -2350,7 +2374,8 @@ mod tests {
 
     #[test]
     fn search_recovers_key_from_scrambled_dump() {
-        let master: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(59).wrapping_add(0xC4));
+        let master: [u8; 32] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(59).wrapping_add(0xC4));
         let keys = test_keys();
         let (dump, candidates) = build_dump(192, &master, &keys);
         let outcome = search_dump(&dump, &candidates, &SearchConfig::default());
@@ -2374,7 +2399,8 @@ mod tests {
 
     #[test]
     fn search_recovers_aes128() {
-        let master: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(23).wrapping_add(0x77));
+        let master: [u8; 16] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(23).wrapping_add(0x77));
         let keys = test_keys();
         let (dump, candidates) = build_dump(256, &master, &keys);
         let config = SearchConfig {
@@ -2388,7 +2414,8 @@ mod tests {
 
     #[test]
     fn search_recovers_aes192() {
-        let master: [u8; 24] = core::array::from_fn(|i| (i as u8).wrapping_mul(19).wrapping_add(0x31));
+        let master: [u8; 24] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(19).wrapping_add(0x31));
         let keys = test_keys();
         let (dump, candidates) = build_dump(256, &master, &keys);
         let config = SearchConfig {
@@ -2403,7 +2430,8 @@ mod tests {
 
     #[test]
     fn search_survives_bit_decay() {
-        let master: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(67).wrapping_add(0x5E));
+        let master: [u8; 32] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(67).wrapping_add(0x5E));
         let keys = test_keys();
         let (dump, candidates) = build_dump(192, &master, &keys);
         // Flip scattered bits across the image (~0.2% of bits).
@@ -2426,7 +2454,8 @@ mod tests {
 
     #[test]
     fn search_with_region_restriction() {
-        let master: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(13).wrapping_add(0x99));
+        let master: [u8; 32] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(13).wrapping_add(0x99));
         let keys = test_keys();
         let (dump, candidates) = build_dump(192, &master, &keys);
         let miss = SearchConfig {
@@ -2443,7 +2472,8 @@ mod tests {
 
     #[test]
     fn parallel_search_matches_sequential() {
-        let master: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(29).wrapping_add(0xD2));
+        let master: [u8; 32] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(29).wrapping_add(0xD2));
         let keys = test_keys();
         let (dump, candidates) = build_dump(320, &master, &keys);
         let seq_config = SearchConfig {
@@ -2474,7 +2504,13 @@ mod tests {
         let keys = test_keys();
         let mut image = vec![0x33u8; 64 * 96];
         let masters: Vec<[u8; 32]> = (0..3u8)
-            .map(|t| core::array::from_fn(|i| (i as u8).wrapping_mul(61).wrapping_add(t.wrapping_mul(87) ^ 0x19)))
+            .map(|t| {
+                core::array::from_fn(|i| {
+                    (i as u8)
+                        .wrapping_mul(61)
+                        .wrapping_add(t.wrapping_mul(87) ^ 0x19)
+                })
+            })
             .collect();
         // Three schedules packed at the tail, 64*80, 64*85, 64*90.
         for (n, master) in masters.iter().enumerate() {
@@ -2546,7 +2582,10 @@ mod tests {
         let dump = MemoryDump::new(image, 0);
 
         let shallow = search_dump(&dump, &candidates, &SearchConfig::default());
-        assert!(shallow.recovered.is_empty(), "default tolerance should miss");
+        assert!(
+            shallow.recovered.is_empty(),
+            "default tolerance should miss"
+        );
 
         let deep = search_dump(&dump, &candidates, &SearchConfig::deep());
         assert_eq!(deep.recovered.len(), 1, "deep search failed to locate");
@@ -2803,7 +2842,9 @@ mod tests {
         let masters: Vec<[u8; 32]> = (0..3u8)
             .map(|t| {
                 core::array::from_fn(|i| {
-                    (i as u8).wrapping_mul(61).wrapping_add(t.wrapping_mul(87) ^ 0x19)
+                    (i as u8)
+                        .wrapping_mul(61)
+                        .wrapping_add(t.wrapping_mul(87) ^ 0x19)
                 })
             })
             .collect();
@@ -2842,7 +2883,10 @@ mod tests {
             let merged = merge_search_partials(parts);
             assert_eq!(whole.hits, merged.hits, "shards={shards}");
             assert_eq!(whole.recovered, merged.recovered, "shards={shards}");
-            assert_eq!(whole.blocks_scanned, merged.blocks_scanned, "shards={shards}");
+            assert_eq!(
+                whole.blocks_scanned, merged.blocks_scanned,
+                "shards={shards}"
+            );
         }
     }
 
@@ -2864,7 +2908,8 @@ mod tests {
 
     #[test]
     fn wrong_candidates_find_nothing() {
-        let master: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(0xAB));
+        let master: [u8; 32] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(0xAB));
         let keys = test_keys();
         let (dump, _) = build_dump(192, &master, &keys);
         let wrong: Vec<CandidateKey> = (10..14u8)
@@ -2906,7 +2951,11 @@ mod tests {
                 ..SearchConfig::default()
             };
             let got = search_dump(&dump, &candidates, &config).hits;
-            assert_eq!(got, reference_hits(&dump, &candidates, &config), "threads={threads}");
+            assert_eq!(
+                got,
+                reference_hits(&dump, &candidates, &config),
+                "threads={threads}"
+            );
             assert!(!got.is_empty(), "schedule dump must produce hits");
         }
     }
@@ -3090,7 +3139,10 @@ mod tests {
                 }
                 let candidates: Vec<CandidateKey> = scrambler_keys
                     .iter()
-                    .map(|k| CandidateKey { key: *k, observations: 1 })
+                    .map(|k| CandidateKey {
+                        key: *k,
+                        observations: 1,
+                    })
                     .collect();
                 let dump = MemoryDump::new(image, 0);
                 let key_sizes = [KeySize::Aes256, KeySize::Aes192, KeySize::Aes128]
@@ -3107,7 +3159,11 @@ mod tests {
                     ..SearchConfig::default()
                 };
                 let got = search_dump(&dump, &candidates, &config).hits;
-                assert_eq!(got, reference_hits(&dump, &candidates, &config), "case {case}");
+                assert_eq!(
+                    got,
+                    reference_hits(&dump, &candidates, &config),
+                    "case {case}"
+                );
             }
         }
     }
@@ -3135,7 +3191,9 @@ mod tests {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let ground: Vec<u8> = (0..image.len())
             .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (s >> 56) as u8
             })
             .collect();
@@ -3188,7 +3246,11 @@ mod tests {
         let outcome = search_dump(&dump, &candidates, &config);
         assert_eq!(outcome.recovered.len(), 1, "channel search must recover");
         let rec = &outcome.recovered[0];
-        assert_eq!(rec.master_key, master.to_vec(), "must recover the exact key");
+        assert_eq!(
+            rec.master_key,
+            master.to_vec(),
+            "must recover the exact key"
+        );
         assert_eq!(rec.schedule_addr, 192);
         let flips = rec.flips.expect("channel mode reports flip counts");
         assert!(flips.to_ground > 0, "heavy decay must show corrected bits");
@@ -3219,12 +3281,17 @@ mod tests {
         }
         let candidates: Vec<CandidateKey> = keys
             .iter()
-            .map(|k| CandidateKey { key: *k, observations: 1 })
+            .map(|k| CandidateKey {
+                key: *k,
+                observations: 1,
+            })
             .collect();
         let mut s = 41u64.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let ground: Vec<u8> = (0..image.len())
             .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (s >> 56) as u8
             })
             .collect();
@@ -3236,14 +3303,18 @@ mod tests {
             ..SearchConfig::default()
         };
         let outcome = search_dump(&MemoryDump::new(image, 0), &candidates, &config);
-        assert!(outcome.hits.is_empty(), "zero fill must emit no channel hits");
+        assert!(
+            outcome.hits.is_empty(),
+            "zero fill must emit no channel hits"
+        );
         assert!(outcome.recovered.is_empty());
     }
 
     #[test]
     fn sharded_reconstruction_merges_byte_identical_at_any_shard_count() {
         use coldboot_dram::retention::BitChannel;
-        let master: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(61).wrapping_add(0x2B));
+        let master: [u8; 32] =
+            core::array::from_fn(|i| (i as u8).wrapping_mul(61).wrapping_add(0x2B));
         let keys = test_keys();
         let (dump, ground, candidates) = decayed_dump(256, &master, &keys, 0.18, 3);
         let config = SearchConfig {
@@ -3269,7 +3340,10 @@ mod tests {
             let merged = merge_search_partials(parts);
             assert_eq!(whole.hits, merged.hits, "shards={shards}");
             assert_eq!(whole.recovered, merged.recovered, "shards={shards}");
-            assert_eq!(whole.blocks_scanned, merged.blocks_scanned, "shards={shards}");
+            assert_eq!(
+                whole.blocks_scanned, merged.blocks_scanned,
+                "shards={shards}"
+            );
         }
     }
 
@@ -3853,8 +3927,14 @@ mod tests {
                 }
                 assert_eq!(&outcome.recovered, &expected, "case {case}");
                 for rec in &outcome.recovered {
-                    assert!(rec.cost_millinats.is_none(), "case {case}: off-mode must not price");
-                    assert!(rec.flips.is_none(), "case {case}: off-mode must not count flips");
+                    assert!(
+                        rec.cost_millinats.is_none(),
+                        "case {case}: off-mode must not price"
+                    );
+                    assert!(
+                        rec.flips.is_none(),
+                        "case {case}: off-mode must not count flips"
+                    );
                 }
             }
         }

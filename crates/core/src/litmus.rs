@@ -698,7 +698,11 @@ mod tests {
             ..MiningConfig::default()
         };
         let seq = mine_candidate_keys(&dump, &sequential);
-        assert!(seq.len() >= 64, "expected the planted keys, got {}", seq.len());
+        assert!(
+            seq.len() >= 64,
+            "expected the planted keys, got {}",
+            seq.len()
+        );
         for threads in [2usize, 4, 8] {
             let parallel = MiningConfig {
                 threads,
@@ -754,8 +758,7 @@ mod tests {
         );
         assert!(metrics.prefilter_rejects.get() > 0);
         assert!(
-            metrics.blocks.get()
-                >= metrics.prefilter_rejects.get() + metrics.litmus_hits.get(),
+            metrics.blocks.get() >= metrics.prefilter_rejects.get() + metrics.litmus_hits.get(),
             "every block is swept at most once"
         );
         assert!(metrics.engine.items.get() >= dump.len_blocks() as u64);

@@ -117,7 +117,11 @@ pub const DEFAULT_WORK_BUDGET: u32 = 4096;
 /// only their `to_ground_millinats` cost and
 /// [`BitChannel::residual_budget_millinats`] acceptance budget.
 pub fn residual_channels(d: f64) -> (BitChannel, BitChannel) {
-    let d = if d.is_finite() { d.clamp(0.0, 0.45) } else { 0.0 };
+    let d = if d.is_finite() {
+        d.clamp(0.0, 0.45)
+    } else {
+        0.0
+    };
     let p_ident = 0.5 * (1.0 - (1.0 - d).powi(3));
     let c = 0.5 * (1.0 - (1.0 - d / 2.0).powi(8));
     let p_sbox = 0.5 * (1.0 - (1.0 - d).powi(2) * (1.0 - 2.0 * c));
@@ -291,8 +295,10 @@ impl ScheduleObservation {
     pub fn cost_of(&self, schedule: &[u32], channel: &BitChannel) -> u64 {
         let mut cost = 0u64;
         for i in 0..schedule.len() {
-            cost += channel
-                .word_cost_millinats((schedule[i] ^ self.words[i]) & self.counted[i], self.toward_ground[i]);
+            cost += channel.word_cost_millinats(
+                (schedule[i] ^ self.words[i]) & self.counted[i],
+                self.toward_ground[i],
+            );
         }
         cost
     }
@@ -606,12 +612,12 @@ pub fn correct_schedule(
     let mut best: Option<(u64, usize)> = None;
 
     let push = |heap: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                    nodes: &mut Vec<Node>,
-                    best: &mut Option<(u64, usize)>,
-                    seq: &mut u64,
-                    start: usize,
-                    window: Window,
-                    cost: u64|
+                nodes: &mut Vec<Node>,
+                best: &mut Option<(u64, usize)>,
+                seq: &mut u64,
+                start: usize,
+                window: Window,
+                cost: u64|
      -> bool {
         let idx = nodes.len();
         let improved = best.is_none_or(|(c, _)| cost < c);
@@ -781,7 +787,11 @@ mod tests {
         let channel = BitChannel::from_decay_fraction(0.15);
         let mut tally = ReconstructTally::default();
         let got = correct_schedule(&obs, &channel, DEFAULT_WORK_BUDGET, &mut tally).unwrap();
-        assert_eq!(got.schedule, truth.words(), "must recover the true schedule");
+        assert_eq!(
+            got.schedule,
+            truth.words(),
+            "must recover the true schedule"
+        );
         assert_eq!(got.flips.to_ground, planted);
         assert_eq!(got.flips.anti_ground, 0);
         assert_eq!(
@@ -847,13 +857,20 @@ mod tests {
         let mut s = 0x9E37_79B9_7F4A_7C15u64;
         let ground: Vec<u8> = (0..data.len())
             .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (s >> 56) as u8
             })
             .collect();
         apply_decay(&mut data, &ground, 0.19, 42);
         let word_at = |bytes: &[u8], i: usize| {
-            u32::from_be_bytes([bytes[i * 4], bytes[i * 4 + 1], bytes[i * 4 + 2], bytes[i * 4 + 3]])
+            u32::from_be_bytes([
+                bytes[i * 4],
+                bytes[i * 4 + 1],
+                bytes[i * 4 + 2],
+                bytes[i * 4 + 3],
+            ])
         };
         let words: Vec<u32> = (0..total).map(|i| word_at(&data, i)).collect();
         let toward_ground: Vec<u32> = (0..total)
@@ -862,7 +879,10 @@ mod tests {
         let flipped: u32 = (0..total)
             .map(|i| (words[i] ^ truth.words()[i]).count_ones())
             .sum();
-        assert!(flipped > 100, "decay too light to be interesting: {flipped}");
+        assert!(
+            flipped > 100,
+            "decay too light to be interesting: {flipped}"
+        );
         let obs = ScheduleObservation {
             size,
             words,
@@ -872,7 +892,11 @@ mod tests {
         let channel = BitChannel::from_decay_fraction(0.19);
         let mut tally = ReconstructTally::default();
         let got = correct_schedule(&obs, &channel, DEFAULT_WORK_BUDGET, &mut tally).unwrap();
-        assert_eq!(got.schedule, truth.words(), "must undo {flipped} decay flips");
+        assert_eq!(
+            got.schedule,
+            truth.words(),
+            "must undo {flipped} decay flips"
+        );
         assert_eq!(got.flips.to_ground, flipped);
         assert_eq!(got.flips.anti_ground, 0);
         assert!(
@@ -882,7 +906,6 @@ mod tests {
             channel.span_budget_millinats(obs.counted_bits())
         );
     }
-
 
     /// Convergence is seed-dependent at heavy decay: the descent + B&B
     /// combination is a heuristic decoder, not ML-exact. This pins the
@@ -903,13 +926,20 @@ mod tests {
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let ground: Vec<u8> = (0..data.len())
                 .map(|_| {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     (s >> 56) as u8
                 })
                 .collect();
             apply_decay(&mut data, &ground, 0.19, seed);
             let word_at = |bytes: &[u8], i: usize| {
-                u32::from_be_bytes([bytes[i * 4], bytes[i * 4 + 1], bytes[i * 4 + 2], bytes[i * 4 + 3]])
+                u32::from_be_bytes([
+                    bytes[i * 4],
+                    bytes[i * 4 + 1],
+                    bytes[i * 4 + 2],
+                    bytes[i * 4 + 3],
+                ])
             };
             let words: Vec<u32> = (0..total).map(|i| word_at(&data, i)).collect();
             let toward_ground: Vec<u32> = (0..total)

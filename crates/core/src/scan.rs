@@ -405,8 +405,8 @@ mod tests {
     #[test]
     fn options_equality_ignores_metrics() {
         let registry = MetricsRegistry::new();
-        let observed = ScanOptions::with_threads(2)
-            .with_metrics(EngineMetrics::register(&registry, "test"));
+        let observed =
+            ScanOptions::with_threads(2).with_metrics(EngineMetrics::register(&registry, "test"));
         assert_eq!(observed, ScanOptions::with_threads(2));
         assert_ne!(observed, ScanOptions::with_threads(3));
     }

@@ -207,9 +207,10 @@ mod tests {
 
     #[test]
     fn aes256_fips197_appendix_c3() {
-        let aes =
-            Aes::new(&hexv("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"))
-                .unwrap();
+        let aes = Aes::new(&hexv(
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+        ))
+        .unwrap();
         let ct = aes.encrypt_block(hex16(FIPS_PT));
         assert_eq!(ct, hex16("8ea2b7ca516745bfeafc49904b496089"));
         assert_eq!(aes.decrypt_block(ct), hex16(FIPS_PT));
@@ -262,8 +263,7 @@ mod tests {
     fn from_schedule_equals_from_key() {
         let key = [9u8; 32];
         let direct = Aes::new(&key).unwrap();
-        let via_schedule =
-            Aes::from_schedule(crate::aes::KeySchedule::expand(&key).unwrap());
+        let via_schedule = Aes::from_schedule(crate::aes::KeySchedule::expand(&key).unwrap());
         let pt = [0x5au8; 16];
         assert_eq!(direct.encrypt_block(pt), via_schedule.encrypt_block(pt));
     }

@@ -319,7 +319,12 @@ pub fn reconstruct_into(size: KeySize, window: &[u32], start: usize, out: &mut [
 /// This is the primitive behind the paper's **AES key litmus test**: run one
 /// (or more) expansion steps from 2·`Nk` bytes found in a memory block and
 /// check the result against the adjacent bytes.
-pub fn extend_forward(size: KeySize, window: &[u32], start: usize, count: usize) -> Option<Vec<u32>> {
+pub fn extend_forward(
+    size: KeySize,
+    window: &[u32],
+    start: usize,
+    count: usize,
+) -> Option<Vec<u32>> {
     let nk = size.nk();
     if window.len() < nk {
         return None;
@@ -388,7 +393,9 @@ mod tests {
     #[test]
     fn reconstruct_from_every_window_recovers_master_key() {
         for size in KeySize::ALL {
-            let key: Vec<u8> = (0..size.key_len() as u8).map(|b| b.wrapping_mul(37)).collect();
+            let key: Vec<u8> = (0..size.key_len() as u8)
+                .map(|b| b.wrapping_mul(37))
+                .collect();
             let ks = KeySchedule::expand(&key).unwrap();
             let nk = size.nk();
             for start in 0..=(size.schedule_words() - nk) {
@@ -410,7 +417,9 @@ mod tests {
     #[test]
     fn reconstruct_into_matches_allocating_form() {
         for size in KeySize::ALL {
-            let key: Vec<u8> = (0..size.key_len() as u8).map(|b| b.wrapping_mul(91)).collect();
+            let key: Vec<u8> = (0..size.key_len() as u8)
+                .map(|b| b.wrapping_mul(91))
+                .collect();
             let ks = KeySchedule::expand(&key).unwrap();
             let nk = size.nk();
             let mut scratch = vec![0u32; size.schedule_words()];
@@ -419,9 +428,19 @@ mod tests {
                 assert!(reconstruct_into(size, &window, start, &mut scratch));
                 assert_eq!(&scratch[..], ks.words(), "size {size:?} window {start}");
             }
-            assert!(!reconstruct_into(size, &vec![0u32; nk], size.schedule_words(), &mut scratch));
+            assert!(!reconstruct_into(
+                size,
+                &vec![0u32; nk],
+                size.schedule_words(),
+                &mut scratch
+            ));
             assert!(!reconstruct_into(size, &[0u32; 2], 0, &mut scratch));
-            assert!(!reconstruct_into(size, &vec![0u32; nk], 0, &mut scratch[..nk]));
+            assert!(!reconstruct_into(
+                size,
+                &vec![0u32; nk],
+                0,
+                &mut scratch[..nk]
+            ));
         }
     }
 

@@ -39,7 +39,7 @@ const fn cube_exceeds(x: u128, p: u64) -> bool {
     let (hi_hi, hi_lo) = mul_u128(sq_hi, x);
     // x³ = hi_hi·2^256 + (hi_lo + lo_hi)·2^128 + lo_lo
     let mid = hi_lo + lo_hi; // cannot overflow: x³ < 2^201
-    // Target p·2¹⁹² = (p as u128) << 64 in the 2^128-weighted limb.
+                             // Target p·2¹⁹² = (p as u128) << 64 in the 2^128-weighted limb.
     let target_mid = (p as u128) << 64;
     if hi_hi > 0 {
         return true;
@@ -375,8 +375,10 @@ mod tests {
     fn nist_vector_empty() {
         assert_eq!(
             Sha512::digest(b"").to_vec(),
-            hex("cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
-                 47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e")
+            hex(
+                "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
+                 47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
+            )
         );
     }
 
@@ -384,8 +386,10 @@ mod tests {
     fn nist_vector_abc() {
         assert_eq!(
             Sha512::digest(b"abc").to_vec(),
-            hex("ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
-                 2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f")
+            hex(
+                "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
+                 2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
+            )
         );
     }
 
@@ -396,8 +400,10 @@ mod tests {
                     hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         assert_eq!(
             Sha512::digest(msg).to_vec(),
-            hex("8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018\
-                 501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909")
+            hex(
+                "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018\
+                 501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"
+            )
         );
     }
 
@@ -434,8 +440,10 @@ mod tests {
         let mac = hmac_sha512(&key, b"Hi There");
         assert_eq!(
             mac.to_vec(),
-            hex("87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-                 daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854")
+            hex(
+                "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
+                 daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
+            )
         );
     }
 
@@ -445,8 +453,10 @@ mod tests {
         let mac = hmac_sha512(b"Jefe", b"what do ya want for nothing?");
         assert_eq!(
             mac.to_vec(),
-            hex("164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554\
-                 9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737")
+            hex(
+                "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554\
+                 9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"
+            )
         );
     }
 
@@ -467,7 +477,10 @@ mod tests {
         let mut salted = b"salt".to_vec();
         salted.extend_from_slice(&1u32.to_be_bytes());
         let expected = hmac_sha512(b"password", &salted);
-        assert_eq!(pbkdf2_hmac_sha512(b"password", b"salt", 1, 64), expected.to_vec());
+        assert_eq!(
+            pbkdf2_hmac_sha512(b"password", b"salt", 1, 64),
+            expected.to_vec()
+        );
     }
 
     #[test]

@@ -182,7 +182,10 @@ mod tests {
     #[test]
     fn blocks_per_channel_divides_total() {
         let g = DramGeometry::ddr4_dual_channel_8gib();
-        assert_eq!(g.blocks_per_channel() * u64::from(g.channels), g.total_blocks());
+        assert_eq!(
+            g.blocks_per_channel() * u64::from(g.channels),
+            g.total_blocks()
+        );
     }
 
     #[test]

@@ -245,7 +245,12 @@ mod tests {
         for map in all_mappings() {
             for addr in (0..map.geometry().capacity_bytes()).step_by(64 * 7919) {
                 let loc = map.decompose(addr);
-                assert_eq!(map.compose(loc), addr & !0x3f, "{:?}", map.microarchitecture());
+                assert_eq!(
+                    map.compose(loc),
+                    addr & !0x3f,
+                    "{:?}",
+                    map.microarchitecture()
+                );
             }
         }
     }

@@ -365,6 +365,9 @@ mod tests {
         let reference = vec![0xAAu8; 1 << 16];
         let errs_nominal = crate::retention::bit_errors(&reference, nominal.contents());
         let errs_leaky = crate::retention::bit_errors(&reference, leaky.contents());
-        assert!(errs_leaky > errs_nominal * 2, "{errs_leaky} vs {errs_nominal}");
+        assert!(
+            errs_leaky > errs_nominal * 2,
+            "{errs_leaky} vs {errs_nominal}"
+        );
     }
 }

@@ -74,7 +74,11 @@ impl DecayModel {
     /// always a probability in `[0, 1]`, so downstream callers
     /// ([`apply_decay`], the transplant simulation) never see NaN.
     pub fn decay_fraction(&self, celsius: f64, seconds: f64, quality: f64) -> f64 {
-        let seconds = if seconds.is_finite() { seconds.max(0.0) } else { 0.0 };
+        let seconds = if seconds.is_finite() {
+            seconds.max(0.0)
+        } else {
+            0.0
+        };
         let lambda = self.rate_per_sec(celsius, quality);
         (1.0 - (-lambda * seconds).exp()).clamp(0.0, 1.0)
     }
@@ -431,8 +435,8 @@ mod tests {
         // costing an order of magnitude more.
         let ch = BitChannel::from_decay_fraction(0.2);
         let budget = ch.span_budget_millinats(384);
-        let random_cost = 96 * u64::from(ch.to_ground_millinats)
-            + 96 * u64::from(ch.anti_ground_millinats);
+        let random_cost =
+            96 * u64::from(ch.to_ground_millinats) + 96 * u64::from(ch.anti_ground_millinats);
         assert!(
             budget * 5 < random_cost,
             "budget {budget} vs random {random_cost}"
@@ -450,7 +454,10 @@ mod tests {
         let expected = (f64::from(bits) * 0.35 * f64::from(ch.to_ground_millinats)) as u64;
         let random_mean = u64::from(bits / 2) * u64::from(ch.to_ground_millinats);
         assert!(budget > expected, "budget {budget} <= expected {expected}");
-        assert!(budget < random_mean, "budget {budget} >= random {random_mean}");
+        assert!(
+            budget < random_mean,
+            "budget {budget} >= random {random_mean}"
+        );
     }
 
     #[test]

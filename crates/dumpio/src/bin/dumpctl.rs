@@ -86,10 +86,7 @@ fn build_request(mut argv: impl Iterator<Item = String>) -> Result<(String, Json
         "ping" | "stats" | "shutdown" => Json::obj([("verb", Json::Str(command.clone()))]),
         "status" | "result" | "cancel" => {
             let id = parse_id(argv.next())?;
-            Json::obj([
-                ("verb", Json::Str(command.clone())),
-                ("id", Json::Int(id)),
-            ])
+            Json::obj([("verb", Json::Str(command.clone())), ("id", Json::Int(id))])
         }
         "wait" => {
             let id = parse_id(argv.next())?;

@@ -98,7 +98,10 @@ impl fmt::Display for DumpError {
             }
             DumpError::WriterMisuse(why) => write!(f, "dump writer misuse: {why}"),
             DumpError::Oversize { what, len } => {
-                write!(f, "{what} length {len} exceeds the container's 32-bit field")
+                write!(
+                    f,
+                    "{what} length {len} exceeds the container's 32-bit field"
+                )
             }
         }
     }
@@ -145,8 +148,13 @@ mod tests {
             found: 12,
         };
         let s = e.to_string();
-        assert!(s.contains("chunk 3") && s.contains("65536") && s.contains("12"), "{s}");
-        assert!(DumpError::BadMagic(*b"ELF\x7f").to_string().contains("not a CBDF"));
+        assert!(
+            s.contains("chunk 3") && s.contains("65536") && s.contains("12"),
+            "{s}"
+        );
+        assert!(DumpError::BadMagic(*b"ELF\x7f")
+            .to_string()
+            .contains("not a CBDF"));
         let oversize = DumpError::Oversize {
             what: "chunk payload",
             len: 1 << 33,

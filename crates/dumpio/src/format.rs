@@ -102,7 +102,9 @@ impl DumpMeta {
             return Err(DumpError::HeaderCorrupt("base address not block-aligned"));
         }
         if self.total_bytes % BLOCK_BYTES as u64 != 0 {
-            return Err(DumpError::HeaderCorrupt("image length not a whole number of blocks"));
+            return Err(DumpError::HeaderCorrupt(
+                "image length not a whole number of blocks",
+            ));
         }
         if self.chunk_blocks == 0 {
             return Err(DumpError::HeaderCorrupt("chunk size is zero"));

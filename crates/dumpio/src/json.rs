@@ -48,12 +48,7 @@ pub enum Json {
 impl Json {
     /// Convenience constructor for an object from `(key, value)` pairs.
     pub fn obj<I: IntoIterator<Item = (&'static str, Json)>>(pairs: I) -> Self {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Serializes with 2-space indentation and a trailing newline.
@@ -460,10 +455,7 @@ mod tests {
             ("name", Json::Str("scan".into())),
             ("threads", Json::Int(4)),
             ("mib_per_s", Json::Num(12.5)),
-            (
-                "rows",
-                Json::Arr(vec![Json::Int(1), Json::Int(2)]),
-            ),
+            ("rows", Json::Arr(vec![Json::Int(1), Json::Int(2)])),
             ("empty", Json::Arr(vec![])),
         ]);
         let text = doc.render();
@@ -533,7 +525,10 @@ mod tests {
             ("id", Json::Int(-7)),
             ("rate", Json::Num(3.25)),
             ("flags", Json::Arr(vec![Json::Bool(false), Json::Null])),
-            ("nested", Json::obj([("inner", Json::Str("a\"b\nc".into()))])),
+            (
+                "nested",
+                Json::obj([("inner", Json::Str("a\"b\nc".into()))]),
+            ),
         ]);
         assert_eq!(parse(&doc.render_compact()), Some(doc.clone()));
         assert_eq!(parse(&doc.render()), Some(doc));
@@ -545,10 +540,7 @@ mod tests {
         assert_eq!(parse("-3"), Some(Json::Int(-3)));
         assert_eq!(parse("1.5"), Some(Json::Num(1.5)));
         assert_eq!(parse("1e3"), Some(Json::Num(1000.0)));
-        assert_eq!(
-            parse("9223372036854775807"),
-            Some(Json::Int(i64::MAX))
-        );
+        assert_eq!(parse("9223372036854775807"), Some(Json::Int(i64::MAX)));
         assert_eq!(parse(r#""\u00e9""#), Some(Json::Str("é".into())));
         // A surrogate pair.
         assert_eq!(parse(r#""\ud83d\ude00""#), Some(Json::Str("😀".into())));
@@ -569,8 +561,8 @@ mod tests {
             "\"bad \\x escape\"",
             "1 2",
             "{\"a\":1} trailing",
-            "\"\\ud800\"",     // lone high surrogate
-            "\"\\udc00\"",     // lone low surrogate
+            "\"\\ud800\"", // lone high surrogate
+            "\"\\udc00\"", // lone low surrogate
             "nan",
             "--1",
         ] {
@@ -618,7 +610,10 @@ mod tests {
         assert_eq!(doc.get("i").and_then(Json::as_f64), Some(5.0));
         assert_eq!(doc.get("f").and_then(Json::as_f64), Some(2.5));
         assert_eq!(doc.get("b").and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            doc.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
         assert_eq!(doc.get("missing"), None);
         assert_eq!(Json::Null.get("s"), None);
     }

@@ -75,13 +75,8 @@ mod tests {
         module.fill(0);
         module.write(0x400, &[0xAB; 64]);
         module.set_temperature(-25.0);
-        let file = export_module(
-            &module,
-            Some(DramGeometry::tiny_test()),
-            5.0,
-            Vec::new(),
-        )
-        .unwrap();
+        let file =
+            export_module(&module, Some(DramGeometry::tiny_test()), 5.0, Vec::new()).unwrap();
         let restored = import_module(Cursor::new(&file)).unwrap();
         assert_eq!(restored.serial(), module.serial());
         assert_eq!(restored.contents(), module.contents());

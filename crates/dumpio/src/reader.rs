@@ -340,13 +340,15 @@ impl<R: Read + Seek> DumpReader<R> {
             if self.bytes_out + raw_len <= target {
                 // The whole chunk lies before the target: its header passed
                 // the same checks the decode path runs; skip the payload.
-                self.inner.seek(SeekFrom::Current(i64::from(ch.encoded_len)))?;
+                self.inner
+                    .seek(SeekFrom::Current(i64::from(ch.encoded_len)))?;
                 self.next_chunk += 1;
                 self.bytes_out += raw_len;
             } else {
                 // Boundary chunk: decode it through the validating path
                 // and keep only the bytes at and past the target.
-                self.inner.seek(SeekFrom::Current(-(CHUNK_HEADER_BYTES as i64)))?;
+                self.inner
+                    .seek(SeekFrom::Current(-(CHUNK_HEADER_BYTES as i64)))?;
                 let prefix = (target - self.bytes_out) as usize;
                 let mut buf = Vec::new();
                 if self.read_chunk_into(&mut buf)?.is_none() {
@@ -529,7 +531,10 @@ mod tests {
         let mut r = DumpReader::new(Cursor::new(&file)).unwrap();
         let err = r.seek_to_block(10).unwrap_err();
         assert!(
-            matches!(err, DumpError::ChunkCrc { chunk: 2 } | DumpError::RleCorrupt { chunk: 2 }),
+            matches!(
+                err,
+                DumpError::ChunkCrc { chunk: 2 } | DumpError::RleCorrupt { chunk: 2 }
+            ),
             "{err}"
         );
         // Seeking PAST a corrupt chunk is allowed (payload never read) —
@@ -595,13 +600,13 @@ mod tests {
         let image = sample_image(64 * 20);
         let file = encode(&image, 4, 0);
         for cut in [
-            HEADER_BYTES - 1,              // inside the file header
-            HEADER_BYTES + 5,              // inside a chunk header
+            HEADER_BYTES - 1,                       // inside the file header
+            HEADER_BYTES + 5,                       // inside a chunk header
             HEADER_BYTES + CHUNK_HEADER_BYTES + 10, // inside a payload
-            file.len() - 1,                // just short of complete
+            file.len() - 1,                         // just short of complete
         ] {
-            let result = DumpReader::new(Cursor::new(&file[..cut]))
-                .and_then(|mut r| r.read_to_memory());
+            let result =
+                DumpReader::new(Cursor::new(&file[..cut])).and_then(|mut r| r.read_to_memory());
             assert!(
                 matches!(result, Err(DumpError::Truncated(_))),
                 "cut at {cut} not detected"

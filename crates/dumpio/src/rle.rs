@@ -173,7 +173,11 @@ mod tests {
     fn incompressible_overhead_is_tiny() {
         let raw: Vec<u8> = (0..4096).map(|i| (i % 251 + 1) as u8).collect();
         let enc = encode(&raw);
-        assert!(enc.len() <= raw.len() + 8, "overhead {}", enc.len() - raw.len());
+        assert!(
+            enc.len() <= raw.len() + 8,
+            "overhead {}",
+            enc.len() - raw.len()
+        );
     }
 
     #[test]
@@ -187,7 +191,9 @@ mod tests {
 
     #[test]
     fn decode_into_appends_and_reuses_capacity() {
-        let raw: Vec<u8> = (0..300).map(|i| (i % 17) as u8 * ((i % 9 != 0) as u8)).collect();
+        let raw: Vec<u8> = (0..300)
+            .map(|i| (i % 17) as u8 * ((i % 9 != 0) as u8))
+            .collect();
         let enc = encode(&raw);
         let mut out = b"prefix".to_vec();
         out.reserve(4096);

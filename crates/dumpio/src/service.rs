@@ -376,7 +376,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    if stream.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
+    if stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .is_err()
+    {
         return;
     }
     let mut buf: Vec<u8> = Vec::new();
@@ -521,7 +524,10 @@ fn parse_spec(request: &Json) -> Result<JobSpec, Json> {
         Some(n) => n as usize,
         None => DEFAULT_WINDOW_BLOCKS,
     };
-    let shard = match (opt_u64(request, "shard_start")?, opt_u64(request, "shard_end")?) {
+    let shard = match (
+        opt_u64(request, "shard_start")?,
+        opt_u64(request, "shard_end")?,
+    ) {
         (None, None) => None,
         (Some(start), Some(end)) if start <= end => Some(start..end),
         (Some(_), Some(_)) => {
@@ -561,7 +567,10 @@ fn parse_spec(request: &Json) -> Result<JobSpec, Json> {
             }
         },
     };
-    let ground = request.get("ground").and_then(Json::as_str).map(String::from);
+    let ground = request
+        .get("ground")
+        .and_then(Json::as_str)
+        .map(String::from);
     let decay_fraction = match request.get("decay_fraction") {
         None | Some(Json::Null) => None,
         Some(v) => match v.as_f64() {
@@ -796,7 +805,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             .observe(duration_us(job.enqueued_at.elapsed()));
         let run_started = Instant::now();
         let outcome = execute(&job, shared);
-        metrics.job_run_us.observe(duration_us(run_started.elapsed()));
+        metrics
+            .job_run_us
+            .observe(duration_us(run_started.elapsed()));
         // Each job reaches exactly one terminal arm, so each lifecycle
         // counter moves exactly once per job — the `stats` tests rely on
         // `jobs_timed_out` being 1 after one timed-out job.
@@ -897,9 +908,8 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
     };
     // A range job's progress denominator: the blocks it owns, clamped to
     // the image.
-    let range_blocks = |range: &std::ops::Range<u64>| {
-        range.end.min(total_blocks) - range.start.min(total_blocks)
-    };
+    let range_blocks =
+        |range: &std::ops::Range<u64>| range.end.min(total_blocks) - range.start.min(total_blocks);
     let shard_fields = |shard: &std::ops::Range<u64>| {
         [
             ("shard_start".to_string(), Json::Int(shard.start as i64)),
@@ -922,14 +932,10 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
                 },
                 mining_prefix_bytes: spec
                     .max_bytes
-                    .map_or(AttackConfig::default().mining_prefix_bytes, |m| {
-                        m as usize
-                    }),
+                    .map_or(AttackConfig::default().mining_prefix_bytes, |m| m as usize),
             };
-            job.blocks_total.store(
-                attack_total_blocks(total_bytes, &config),
-                Ordering::Relaxed,
-            );
+            job.blocks_total
+                .store(attack_total_blocks(total_bytes, &config), Ordering::Relaxed);
             let report = attack_file(&mut reader, &config, spec.window_blocks, &ctrl)?;
             let recovered = report
                 .outcome
@@ -980,7 +986,8 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
                     .max_bytes
                     .map_or(total_blocks, |m| m.min(total_bytes).div_ceil(64))
             });
-            job.blocks_total.store(range_blocks(&range), Ordering::Relaxed);
+            job.blocks_total
+                .store(range_blocks(&range), Ordering::Relaxed);
             let miner = mine_range(&mut reader, &mining, spec.window_blocks, &range, &ctrl)?;
             if spec.shard.is_none() {
                 return Ok(candidates_json("mine", &miner.finish()));
@@ -995,23 +1002,25 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
         }
         JobKind::Frequency => {
             let range = spec.shard.clone().unwrap_or(0..total_blocks);
-            job.blocks_total.store(range_blocks(&range), Ordering::Relaxed);
+            job.blocks_total
+                .store(range_blocks(&range), Ordering::Relaxed);
             let counter = frequency_range(&mut reader, spec.window_blocks, &range, &ctrl)?;
             if spec.shard.is_none() {
                 return Ok(candidates_json("frequency", &counter.finish(spec.top_keys)));
             }
-            let mut pairs = vec![(
-                "kind".to_string(),
-                Json::Str("frequency_shard".to_string()),
-            )];
+            let mut pairs = vec![("kind".to_string(), Json::Str("frequency_shard".to_string()))];
             pairs.extend(shard_fields(&range));
-            pairs.push(("counts".to_string(), wire::counts_to_json(&counter.into_counts())));
+            pairs.push((
+                "counts".to_string(),
+                wire::counts_to_json(&counter.into_counts()),
+            ));
             Ok(Json::Obj(pairs))
         }
         JobKind::SearchShard => {
             // parse_spec guarantees the range is present.
             let shard = spec.shard.clone().unwrap_or(0..total_blocks);
-            job.blocks_total.store(range_blocks(&shard), Ordering::Relaxed);
+            job.blocks_total
+                .store(range_blocks(&shard), Ordering::Relaxed);
             let search = if spec.deep {
                 SearchConfig::deep()
             } else {
@@ -1054,7 +1063,9 @@ mod tests {
     fn spec_parsing_defaults_and_errors() {
         let req = json::parse(r#"{"verb":"submit","kind":"attack","dump":"/tmp/x.cbdf"}"#)
             .expect("valid json");
-        let spec = parse_spec(&req).map_err(|e| e.render_compact()).expect("spec");
+        let spec = parse_spec(&req)
+            .map_err(|e| e.render_compact())
+            .expect("spec");
         assert_eq!(spec.kind, JobKind::Attack);
         assert_eq!(spec.window_blocks, DEFAULT_WINDOW_BLOCKS);
         assert_eq!(spec.threads, 1);
@@ -1066,7 +1077,9 @@ mod tests {
             r#"{"kind":"search","dump":"d","window_blocks":8,"deep":true,"timeout_secs":3}"#,
         )
         .expect("valid json");
-        let spec = parse_spec(&req).map_err(|e| e.render_compact()).expect("spec");
+        let spec = parse_spec(&req)
+            .map_err(|e| e.render_compact())
+            .expect("spec");
         assert_eq!(spec.kind, JobKind::Attack);
         assert_eq!(spec.window_blocks, 8);
         assert!(spec.deep);
@@ -1076,7 +1089,9 @@ mod tests {
         // decode/scan overlap switch; it is accepted and ignored.
         let req = json::parse(r#"{"kind":"mine","dump":"d","max_bytes":640,"pipelined":false}"#)
             .expect("valid json");
-        let spec = parse_spec(&req).map_err(|e| e.render_compact()).expect("spec");
+        let spec = parse_spec(&req)
+            .map_err(|e| e.render_compact())
+            .expect("spec");
         assert_eq!(spec.kind, JobKind::Mine);
         assert_eq!(spec.max_bytes, Some(640));
 
@@ -1097,7 +1112,9 @@ mod tests {
             r#"{"kind":"attack","dump":"d","ground":"g.cbdf","decay_fraction":0.19,"work_budget":512}"#,
         )
         .expect("valid json");
-        let spec = parse_spec(&req).map_err(|e| e.render_compact()).expect("spec");
+        let spec = parse_spec(&req)
+            .map_err(|e| e.render_compact())
+            .expect("spec");
         assert_eq!(spec.ground.as_deref(), Some("g.cbdf"));
         assert_eq!(spec.decay_fraction, Some(0.19));
         assert_eq!(spec.work_budget, Some(512));
@@ -1119,7 +1136,9 @@ mod tests {
         // A ground path alone is enough: the channel then comes from the
         // dump's own capture metadata.
         let req = json::parse(r#"{"kind":"attack","dump":"d","ground":"g"}"#).expect("valid json");
-        let spec = parse_spec(&req).map_err(|e| e.render_compact()).expect("spec");
+        let spec = parse_spec(&req)
+            .map_err(|e| e.render_compact())
+            .expect("spec");
         assert_eq!(spec.ground.as_deref(), Some("g"));
         assert_eq!(spec.decay_fraction, None);
         assert_eq!(spec.work_budget, None);

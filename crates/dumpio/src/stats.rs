@@ -166,7 +166,11 @@ pub fn snapshot_json(registry: &MetricsRegistry) -> Json {
                 let value = match m.value {
                     SnapshotValue::Counter(v) => int(v),
                     SnapshotValue::Gauge(v) => Json::Int(v),
-                    SnapshotValue::Histogram { count, sum, buckets } => Json::obj([
+                    SnapshotValue::Histogram {
+                        count,
+                        sum,
+                        buckets,
+                    } => Json::obj([
                         ("count", int(count)),
                         ("sum", int(sum)),
                         (
@@ -206,7 +210,11 @@ mod tests {
         metrics.pipeline.mining.blocks.add(4);
         metrics.reader.chunks_raw.inc();
         let snap = metrics.registry.snapshot();
-        assert!(snap.len() >= 20, "expected the full metric set, got {}", snap.len());
+        assert!(
+            snap.len() >= 20,
+            "expected the full metric set, got {}",
+            snap.len()
+        );
         let names: Vec<&str> = snap.iter().map(|m| m.name.as_str()).collect();
         assert!(names.contains(&"pipeline_decode_us"), "{names:?}");
         assert!(names.contains(&"pipeline_scan_stall_us"), "{names:?}");

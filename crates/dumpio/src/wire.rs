@@ -14,8 +14,8 @@
 //! panic, because the bytes come from the network.
 
 use coldboot::keysearch::{KeySize, RecoveredAesKey, ScheduleHit, SearchPartial};
-use coldboot::reconstruct::FlipCounts;
 use coldboot::litmus::{CandidateKey, MinedObservation};
+use coldboot::reconstruct::FlipCounts;
 use coldboot_dram::BLOCK_BYTES;
 
 use crate::json::Json;
@@ -159,11 +159,17 @@ pub fn counts_from_json(value: &Json) -> Option<Vec<([u8; BLOCK_BYTES], u32)>> {
 fn hit_to_json(hit: &ScheduleHit) -> Json {
     Json::obj([
         ("block_addr", Json::Int(hit.block_addr as i64)),
-        ("scrambler_key_hex", Json::Str(hex_lower(&hit.scrambler_key))),
+        (
+            "scrambler_key_hex",
+            Json::Str(hex_lower(&hit.scrambler_key)),
+        ),
         ("key_bits", Json::Int(key_size_bits(hit.key_size))),
         ("window_offset", Json::Int(hit.window_offset as i64)),
         ("start_word", Json::Int(hit.start_word as i64)),
-        ("prediction_distance", Json::Int(i64::from(hit.prediction_distance))),
+        (
+            "prediction_distance",
+            Json::Int(i64::from(hit.prediction_distance)),
+        ),
     ])
 }
 
@@ -183,14 +189,23 @@ fn recovery_to_json(rec: &RecoveredAesKey) -> Json {
         ("key_bits", Json::Int((rec.master_key.len() * 8) as i64)),
         ("master_hex", Json::Str(hex_lower(&rec.master_key))),
         ("schedule_addr", Json::Int(rec.schedule_addr as i64)),
-        ("total_error_bits", Json::Int(i64::from(rec.total_error_bits))),
-        ("unexplained_blocks", Json::Int(i64::from(rec.unexplained_blocks))),
+        (
+            "total_error_bits",
+            Json::Int(i64::from(rec.total_error_bits)),
+        ),
+        (
+            "unexplained_blocks",
+            Json::Int(i64::from(rec.unexplained_blocks)),
+        ),
     ];
     // Channel-reconstruction fields travel only when the shard ran with
     // reconstruction on: their absence is what keeps the off-mode wire
     // shape byte-identical to the historical protocol.
     if let Some(cost) = rec.cost_millinats {
-        fields.push(("cost_mnat", Json::Int(i64::try_from(cost).unwrap_or(i64::MAX))));
+        fields.push((
+            "cost_mnat",
+            Json::Int(i64::try_from(cost).unwrap_or(i64::MAX)),
+        ));
     }
     if let Some(flips) = rec.flips {
         fields.push(("to_ground_bits", Json::Int(i64::from(flips.to_ground))));
@@ -231,7 +246,10 @@ fn recovery_from_json(value: &Json) -> Option<RecoveredAesKey> {
 /// region-filtered scan count.
 pub fn search_partial_to_json(partial: &SearchPartial) -> Json {
     Json::obj([
-        ("hits", Json::Arr(partial.hits.iter().map(hit_to_json).collect())),
+        (
+            "hits",
+            Json::Arr(partial.hits.iter().map(hit_to_json).collect()),
+        ),
         (
             "recoveries",
             Json::Arr(partial.recoveries.iter().map(recovery_to_json).collect()),
@@ -277,7 +295,11 @@ mod tests {
         ScheduleHit {
             block_addr: 0x8000 + u64::from(seed) * 64,
             scrambler_key: core::array::from_fn(|i| (i as u8).wrapping_mul(3) ^ seed),
-            key_size: if seed % 2 == 0 { KeySize::Aes256 } else { KeySize::Aes128 },
+            key_size: if seed % 2 == 0 {
+                KeySize::Aes256
+            } else {
+                KeySize::Aes128
+            },
             window_offset: usize::from(seed % 17),
             start_word: usize::from(seed % 40),
             prediction_distance: u32::from(seed % 7),
@@ -287,8 +309,14 @@ mod tests {
     #[test]
     fn shard_partial_shapes_roundtrip() {
         let candidates = vec![
-            CandidateKey { key: [0x5A; BLOCK_BYTES], observations: 12 },
-            CandidateKey { key: [0x00; BLOCK_BYTES], observations: 1 },
+            CandidateKey {
+                key: [0x5A; BLOCK_BYTES],
+                observations: 12,
+            },
+            CandidateKey {
+                key: [0x00; BLOCK_BYTES],
+                observations: 1,
+            },
         ];
         assert_eq!(
             candidates_from_json(&candidates_to_json(&candidates)).as_deref(),
@@ -296,8 +324,16 @@ mod tests {
         );
 
         let observations = vec![
-            MinedObservation { value: [7; BLOCK_BYTES], count: 3, first_idx: 42 },
-            MinedObservation { value: [9; BLOCK_BYTES], count: 1, first_idx: 0 },
+            MinedObservation {
+                value: [7; BLOCK_BYTES],
+                count: 3,
+                first_idx: 42,
+            },
+            MinedObservation {
+                value: [9; BLOCK_BYTES],
+                count: 1,
+                first_idx: 0,
+            },
         ];
         assert_eq!(
             observations_from_json(&observations_to_json(&observations)).as_deref(),
@@ -320,7 +356,10 @@ mod tests {
                     total_error_bits: 17,
                     unexplained_blocks: 1,
                     cost_millinats: Some(123_456),
-                    flips: Some(FlipCounts { to_ground: 17, anti_ground: 0 }),
+                    flips: Some(FlipCounts {
+                        to_ground: 17,
+                        anti_ground: 0,
+                    }),
                     hit: sample_hit(2),
                 },
                 RecoveredAesKey {
@@ -336,8 +375,8 @@ mod tests {
             ],
             blocks_scanned: 4096,
         };
-        let parsed = search_partial_from_json(&search_partial_to_json(&partial))
-            .expect("roundtrip parses");
+        let parsed =
+            search_partial_from_json(&search_partial_to_json(&partial)).expect("roundtrip parses");
         assert_eq!(parsed.hits, partial.hits);
         assert_eq!(parsed.recoveries, partial.recoveries);
         assert_eq!(parsed.blocks_scanned, partial.blocks_scanned);
@@ -361,7 +400,10 @@ mod tests {
             total_error_bits: 1,
             unexplained_blocks: 0,
             cost_millinats: Some(7),
-            flips: Some(FlipCounts { to_ground: 1, anti_ground: 0 }),
+            flips: Some(FlipCounts {
+                to_ground: 1,
+                anti_ground: 0,
+            }),
             hit: sample_hit(2),
         };
         let Json::Obj(mut fields) = recovery_to_json(&rec) else {
@@ -378,7 +420,10 @@ mod tests {
             ("key_hex", Json::Str("abcd".into())),
             ("observations", Json::Int(1)),
         ])]);
-        assert!(candidates_from_json(&short_key).is_none(), "key must be 64 bytes");
+        assert!(
+            candidates_from_json(&short_key).is_none(),
+            "key must be 64 bytes"
+        );
         let negative = Json::Arr(vec![Json::obj([
             ("key_hex", Json::Str(hex_lower(&[0u8; BLOCK_BYTES]))),
             ("count", Json::Int(-1)),

@@ -188,8 +188,7 @@ mod tests {
         let image: Vec<u8> = (0..8192u32).map(|i| (i % 251 + 1) as u8).collect();
         let meta = meta_for(image.len() as u64, 16); // 1 KiB chunks
         let out = write_image(Vec::new(), meta.clone(), &image).unwrap();
-        let expected =
-            HEADER_BYTES + meta.num_chunks() as usize * CHUNK_HEADER_BYTES + image.len();
+        let expected = HEADER_BYTES + meta.num_chunks() as usize * CHUNK_HEADER_BYTES + image.len();
         assert_eq!(out.len(), expected);
         // First chunk after the file header is marked raw.
         assert_eq!(out[HEADER_BYTES + 16], ENCODING_RAW);
@@ -214,7 +213,10 @@ mod tests {
         // the length helper: allocating a real 4 GiB chunk in a test is not
         // reasonable, and `write_chunk` feeds every length through it.)
         assert_eq!(chunk_field("chunk raw", 65536).unwrap(), 65536);
-        assert_eq!(chunk_field("chunk raw", u32::MAX as usize).unwrap(), u32::MAX);
+        assert_eq!(
+            chunk_field("chunk raw", u32::MAX as usize).unwrap(),
+            u32::MAX
+        );
         for pathological in [1usize << 32, (1 << 32) + 12] {
             match chunk_field("chunk raw", pathological) {
                 Err(DumpError::Oversize { what, len }) => {
@@ -241,10 +243,7 @@ mod tests {
         let meta = meta_for(128, 4);
         let mut w = DumpWriter::new(Vec::new(), meta.clone()).unwrap();
         w.append(&[1u8; 64]).unwrap();
-        assert!(matches!(
-            w.finish(),
-            Err(DumpError::WriterMisuse(_))
-        ));
+        assert!(matches!(w.finish(), Err(DumpError::WriterMisuse(_))));
         let mut w = DumpWriter::new(Vec::new(), meta).unwrap();
         assert!(matches!(
             w.append(&[1u8; 200]),

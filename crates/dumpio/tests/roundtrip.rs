@@ -146,13 +146,8 @@ fn decayed_module_roundtrips_through_cbdf() {
     module.set_temperature(-25.0);
     module.power_off();
     module.elapse(5.0, &DecayModel::paper_calibrated());
-    let file = export_module(
-        &module,
-        Some(DramGeometry::tiny_test()),
-        5.0,
-        Vec::new(),
-    )
-    .expect("export");
+    let file =
+        export_module(&module, Some(DramGeometry::tiny_test()), 5.0, Vec::new()).expect("export");
     let restored = import_module(Cursor::new(&file)).expect("import");
     assert_eq!(restored.serial(), module.serial());
     assert_eq!(restored.temperature_c(), module.temperature_c());
@@ -178,8 +173,8 @@ fn truncations_at_every_layer_are_detected() {
     let image: Vec<u8> = (0..64 * 64).map(|i| (i % 7) as u8).collect();
     let file = encode(&image, 8, 0);
     for cut in [0, 10, HEADER_BYTES - 1, HEADER_BYTES + 3, file.len() - 1] {
-        let outcome = DumpReader::new(Cursor::new(&file[..cut]))
-            .and_then(|mut r| r.read_to_memory());
+        let outcome =
+            DumpReader::new(Cursor::new(&file[..cut])).and_then(|mut r| r.read_to_memory());
         assert!(
             matches!(outcome, Err(DumpError::Truncated(_))),
             "cut at {cut} undetected"

@@ -42,14 +42,24 @@ fn dump_file_with_rows(name: &str, seed: u64, rows: u32) -> (PathBuf, MemoryDump
         blocks_per_row: 64,
     };
     let volume = Volume::create(b"pw", b"the secret payload", &mut SplitMix64::new(seed));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        1,
+    );
     let capacity = victim.capacity() as usize;
     victim
         .insert_module(DramModule::with_quality(capacity, seed, 0.35))
         .expect("fresh socket");
     victim.fill(0).expect("module present");
     MountedVolume::mount(&mut victim, &volume, b"pw", 0x8_0070).expect("correct password");
-    let mut attacker = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        2,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -192,7 +202,10 @@ fn four_concurrent_jobs_return_correct_results() {
     });
     let mut client = Client::connect(&service);
     assert_eq!(
-        client.raw(r#"{"verb":"ping"}"#).get("pong").and_then(Json::as_bool),
+        client
+            .raw(r#"{"verb":"ping"}"#)
+            .get("pong")
+            .and_then(Json::as_bool),
         Some(true)
     );
 
@@ -219,8 +232,14 @@ fn four_concurrent_jobs_return_correct_results() {
     for id in [attack_a, attack_b, mine_a, freq_b] {
         assert_eq!(client.wait_terminal(id), "done", "job {id}");
         let status = client.status(id);
-        let done = status.get("blocks_done").and_then(Json::as_i64).expect("done");
-        let total = status.get("blocks_total").and_then(Json::as_i64).expect("total");
+        let done = status
+            .get("blocks_done")
+            .and_then(Json::as_i64)
+            .expect("done");
+        let total = status
+            .get("blocks_total")
+            .and_then(Json::as_i64)
+            .expect("total");
         assert!(total > 0, "job {id} never set blocks_total");
         assert_eq!(done, total, "job {id} progress did not reach its total");
     }
@@ -228,7 +247,10 @@ fn four_concurrent_jobs_return_correct_results() {
     // Attack results must carry exactly the in-memory pipeline's keys.
     for (id, dump) in [(attack_a, &dump_a), (attack_b, &dump_b)] {
         let expected = run_ddr4_attack(dump, &AttackConfig::default());
-        assert!(!expected.outcome.recovered.is_empty(), "scenario recovers keys");
+        assert!(
+            !expected.outcome.recovered.is_empty(),
+            "scenario recovers keys"
+        );
         let result = client.result(id);
         assert_eq!(result.get("state").and_then(Json::as_str), Some("done"));
         let body = result.get("result").expect("result body");
@@ -258,10 +280,13 @@ fn four_concurrent_jobs_return_correct_results() {
     }
 
     // Mine result: the same candidate keys the in-memory miner finds.
-    let expected_mine = mine_candidate_keys(&dump_a, &MiningConfig {
-        threads: 1,
-        ..MiningConfig::default()
-    });
+    let expected_mine = mine_candidate_keys(
+        &dump_a,
+        &MiningConfig {
+            threads: 1,
+            ..MiningConfig::default()
+        },
+    );
     let result = client.result(mine_a);
     let keys = result
         .get("result")
@@ -344,13 +369,25 @@ fn cancel_queue_bounds_and_errors_without_workers() {
     ));
     assert_eq!(overflow.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(overflow.get("status").and_then(Json::as_str), Some("error"));
-    assert_eq!(overflow.get("code").and_then(Json::as_str), Some("queue_full"));
-    assert_eq!(overflow.get("retryable").and_then(Json::as_bool), Some(true));
-    assert_eq!(overflow.get("error").and_then(Json::as_str), Some("queue full"));
+    assert_eq!(
+        overflow.get("code").and_then(Json::as_str),
+        Some("queue_full")
+    );
+    assert_eq!(
+        overflow.get("retryable").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(
+        overflow.get("error").and_then(Json::as_str),
+        Some("queue full")
+    );
 
     // Cancelling a queued job is immediate and terminal.
     let cancelled = client.request(&Json::obj_id("cancel", first));
-    assert_eq!(cancelled.get("state").and_then(Json::as_str), Some("cancelled"));
+    assert_eq!(
+        cancelled.get("state").and_then(Json::as_str),
+        Some("cancelled")
+    );
     assert_eq!(client.wait_terminal(first), "cancelled");
     // The untouched job is still queued.
     assert_eq!(
@@ -532,7 +569,10 @@ fn timeout_overshoot_is_bounded_and_counted_once() {
     let elapsed = submitted.elapsed();
     assert_eq!(state, "timed_out");
     // The deadline itself is respected...
-    assert!(elapsed >= Duration::from_secs(1), "timed out early: {elapsed:?}");
+    assert!(
+        elapsed >= Duration::from_secs(1),
+        "timed out early: {elapsed:?}"
+    );
     // ...and the overshoot is one read slice plus polling slack, not the
     // rest of a multi-MiB deep scan. The bound is generous for slow CI.
     assert!(
@@ -546,8 +586,14 @@ fn timeout_overshoot_is_bounded_and_counted_once() {
     assert_eq!(counter(&stats, "jobs_done"), 0);
     // The scan was cut short: progress stopped below the attack total.
     let status = client.status(id);
-    let done = status.get("blocks_done").and_then(Json::as_i64).expect("done");
-    let total = status.get("blocks_total").and_then(Json::as_i64).expect("total");
+    let done = status
+        .get("blocks_done")
+        .and_then(Json::as_i64)
+        .expect("done");
+    let total = status
+        .get("blocks_total")
+        .and_then(Json::as_i64)
+        .expect("total");
     assert!(done < total, "timed-out job reported a complete scan");
     service.shutdown();
 }
@@ -570,8 +616,14 @@ fn progress_is_monotonic_and_reaches_the_attack_total() {
     let deadline = Instant::now() + Duration::from_secs(180);
     loop {
         let status = client.status(id);
-        let done = status.get("blocks_done").and_then(Json::as_i64).expect("done");
-        assert!(done >= last_done, "progress went backwards: {last_done} -> {done}");
+        let done = status
+            .get("blocks_done")
+            .and_then(Json::as_i64)
+            .expect("done");
+        assert!(
+            done >= last_done,
+            "progress went backwards: {last_done} -> {done}"
+        );
         last_done = done;
         let state = status.get("state").and_then(Json::as_str).expect("state");
         if state != "queued" && state != "running" {
@@ -583,13 +635,18 @@ fn progress_is_monotonic_and_reaches_the_attack_total() {
     }
     // On completion the counter equals the pipeline's published total for
     // this image and config — the denominator dashboards divide by.
-    let expected = coldboot_dumpio::pipeline::attack_total_blocks(
-        dump.len() as u64,
-        &AttackConfig::default(),
-    ) as i64;
+    let expected =
+        coldboot_dumpio::pipeline::attack_total_blocks(dump.len() as u64, &AttackConfig::default())
+            as i64;
     let status = client.status(id);
-    assert_eq!(status.get("blocks_done").and_then(Json::as_i64), Some(expected));
-    assert_eq!(status.get("blocks_total").and_then(Json::as_i64), Some(expected));
+    assert_eq!(
+        status.get("blocks_done").and_then(Json::as_i64),
+        Some(expected)
+    );
+    assert_eq!(
+        status.get("blocks_total").and_then(Json::as_i64),
+        Some(expected)
+    );
     service.shutdown();
 }
 
@@ -643,19 +700,28 @@ fn shard_jobs_merge_to_the_single_node_result() {
     let total_blocks = (dump.len() / 64) as u64;
     let mined_blocks = (expected.mined_bytes / 64) as u64;
 
-    let run_shard = |client: &mut Client, mut pairs: Vec<(&str, Json)>, range: &std::ops::Range<u64>| {
-        pairs.push(("dump", Json::Str(dump_arg.clone())));
-        pairs.push(("shard_start", Json::Int(range.start as i64)));
-        pairs.push(("shard_end", Json::Int(range.end as i64)));
-        let id = client.submit(pairs);
-        assert_eq!(client.wait_terminal(id), "done", "shard job {id}");
-        client.result(id).get("result").expect("result body").clone()
-    };
+    let run_shard =
+        |client: &mut Client, mut pairs: Vec<(&str, Json)>, range: &std::ops::Range<u64>| {
+            pairs.push(("dump", Json::Str(dump_arg.clone())));
+            pairs.push(("shard_start", Json::Int(range.start as i64)));
+            pairs.push(("shard_end", Json::Int(range.end as i64)));
+            let id = client.submit(pairs);
+            assert_eq!(client.wait_terminal(id), "done", "shard job {id}");
+            client
+                .result(id)
+                .get("result")
+                .expect("result body")
+                .clone()
+        };
 
     // Phase 1: mine the prefix in three shards; absorb and finish once.
     let mut miner = KeyMiner::new(&config.mining);
     for range in plan_shards(mined_blocks, 3) {
-        let body = run_shard(&mut client, vec![("kind", Json::Str("mine".into()))], &range);
+        let body = run_shard(
+            &mut client,
+            vec![("kind", Json::Str("mine".into()))],
+            &range,
+        );
         assert_eq!(body.get("kind").and_then(Json::as_str), Some("mine_shard"));
         let observations = wire::observations_from_json(body.get("observations").expect("rows"))
             .expect("parse observations");
@@ -677,7 +743,10 @@ fn shard_jobs_merge_to_the_single_node_result() {
             ],
             &range,
         );
-        assert_eq!(body.get("kind").and_then(Json::as_str), Some("search_shard"));
+        assert_eq!(
+            body.get("kind").and_then(Json::as_str),
+            Some("search_shard")
+        );
         partials.push(wire::search_partial_from_json(&body).expect("parse partial"));
     }
     let outcome = merge_search_partials(partials);
@@ -691,13 +760,24 @@ fn shard_jobs_merge_to_the_single_node_result() {
     // Frequency histograms sum across shards.
     let mut freq = FrequencyCounter::new();
     for range in plan_shards(total_blocks, 3) {
-        let body = run_shard(&mut client, vec![("kind", Json::Str("frequency".into()))], &range);
-        assert_eq!(body.get("kind").and_then(Json::as_str), Some("frequency_shard"));
+        let body = run_shard(
+            &mut client,
+            vec![("kind", Json::Str("frequency".into()))],
+            &range,
+        );
+        assert_eq!(
+            body.get("kind").and_then(Json::as_str),
+            Some("frequency_shard")
+        );
         let counts =
             wire::counts_from_json(body.get("counts").expect("rows")).expect("parse counts");
         freq.absorb_counts(counts);
     }
-    assert_eq!(freq.finish(24), frequency_keys(&dump, 24), "merged frequency diverged");
+    assert_eq!(
+        freq.finish(24),
+        frequency_keys(&dump, 24),
+        "merged frequency diverged"
+    );
 
     service.shutdown();
 }
@@ -734,7 +814,10 @@ fn slow_writers_are_buffered_across_read_timeouts() {
         .expect("send pair");
     let mut first = String::new();
     reader.read_line(&mut first).expect("receive stats");
-    assert!(json::parse(first.trim()).expect("stats json").get("metrics").is_some());
+    assert!(json::parse(first.trim())
+        .expect("stats json")
+        .get("metrics")
+        .is_some());
     let mut second = String::new();
     reader.read_line(&mut second).expect("receive pong");
     assert_eq!(

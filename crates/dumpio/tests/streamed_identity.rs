@@ -8,24 +8,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use coldboot::attack::ddr3::frequency_keys;
+use coldboot::attack::ddr3::FrequencyCounter;
 use coldboot::attack::{
     capture_dump_via_transplant, run_ddr4_attack, AttackConfig, TransplantParams,
 };
 use coldboot::dump::MemoryDump;
+use coldboot::keysearch::merge_search_partials;
 use coldboot::keysearch::SearchConfig;
+use coldboot::litmus::KeyMiner;
 use coldboot::litmus::{mine_candidate_keys, MiningConfig};
 use coldboot_crypto::rng::SplitMix64;
 use coldboot_dram::geometry::DramGeometry;
 use coldboot_dram::mapping::Microarchitecture;
 use coldboot_dram::module::DramModule;
 use coldboot_dram::retention::DecayModel;
-use coldboot::attack::ddr3::FrequencyCounter;
-use coldboot::keysearch::merge_search_partials;
-use coldboot::litmus::KeyMiner;
 use coldboot_dumpio::format::DumpMeta;
 use coldboot_dumpio::pipeline::{
-    attack_file, frequency_range, mine_range, plan_shards, search_range, PipelineError,
-    ScanControl,
+    attack_file, frequency_range, mine_range, plan_shards, search_range, PipelineError, ScanControl,
 };
 use coldboot_dumpio::reader::DumpReader;
 use coldboot_dumpio::writer::write_image;
@@ -48,14 +47,24 @@ fn captured_dump(seed: u64) -> (Volume, MemoryDump) {
         blocks_per_row: 64,
     };
     let volume = Volume::create(PASSWORD, SECRET, &mut SplitMix64::new(seed));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        1,
+    );
     let capacity = victim.capacity() as usize;
     victim
         .insert_module(DramModule::with_quality(capacity, 7, 0.35))
         .expect("fresh socket");
     victim.fill(0).expect("module present");
     MountedVolume::mount(&mut victim, &volume, PASSWORD, 0x8_0070).expect("correct password");
-    let mut attacker = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        2,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -98,7 +107,10 @@ fn file_backed_attack_is_byte_identical_and_recovers_the_volume() {
         );
         assert_eq!(streamed.outcome.hits, expected.outcome.hits);
         assert_eq!(streamed.outcome.recovered, expected.outcome.recovered);
-        assert_eq!(streamed.outcome.blocks_scanned, expected.outcome.blocks_scanned);
+        assert_eq!(
+            streamed.outcome.blocks_scanned,
+            expected.outcome.blocks_scanned
+        );
         assert_eq!(streamed.mined_bytes, expected.mined_bytes);
     }
 
@@ -334,7 +346,10 @@ fn sharded_passes_merge_byte_identically_at_any_shard_count() {
             miner.absorb_observations(shard.into_observations());
         }
         let candidates = miner.finish();
-        assert_eq!(candidates, expected.candidates, "candidates diverged at shards={shards}");
+        assert_eq!(
+            candidates, expected.candidates,
+            "candidates diverged at shards={shards}"
+        );
 
         // Phase 2: search the whole image in shards; partials concatenate
         // in shard (= global block) order and replay the overlap dedup.
@@ -354,7 +369,10 @@ fn sharded_passes_merge_byte_identically_at_any_shard_count() {
             );
         }
         let outcome = merge_search_partials(partials);
-        assert_eq!(outcome.hits, expected.outcome.hits, "hits diverged at shards={shards}");
+        assert_eq!(
+            outcome.hits, expected.outcome.hits,
+            "hits diverged at shards={shards}"
+        );
         assert_eq!(
             outcome.recovered, expected.outcome.recovered,
             "recoveries diverged at shards={shards}"
@@ -372,7 +390,11 @@ fn sharded_passes_merge_byte_identically_at_any_shard_count() {
                 .expect("frequency shard");
             counter.absorb_counts(shard.into_counts());
         }
-        assert_eq!(counter.finish(24), expected_freq, "frequency diverged at shards={shards}");
+        assert_eq!(
+            counter.finish(24),
+            expected_freq,
+            "frequency diverged at shards={shards}"
+        );
     }
 }
 
@@ -387,6 +409,9 @@ fn streamed_frequency_analysis_matches_in_memory() {
         let streamed = frequency_range(&mut reader, window_blocks, &all, &ScanControl::new())
             .expect("streamed frequency pass")
             .finish(24);
-        assert_eq!(streamed, expected, "diverged at window_blocks={window_blocks}");
+        assert_eq!(
+            streamed, expected,
+            "diverged at window_blocks={window_blocks}"
+        );
     }
 }

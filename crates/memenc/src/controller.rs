@@ -31,7 +31,10 @@ fn mix(mut z: u64) -> u64 {
 /// Expands a boot seed into key material.
 fn key_material(seed: u64, bytes: usize) -> Vec<u8> {
     (0..bytes.div_ceil(8))
-        .flat_map(|i| mix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))).to_le_bytes())
+        .flat_map(|i| {
+            mix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)))
+                .to_le_bytes()
+        })
         .take(bytes)
         .collect()
 }
@@ -187,7 +190,10 @@ mod tests {
         let bus = EncryptedBus::new(EngineKind::ChaCha8, 42);
         let mut seen = HashSet::new();
         for addr in (0..(1u64 << 20)).step_by(64) {
-            assert!(seen.insert(bus.keystream(addr)), "keystream reuse at {addr:#x}");
+            assert!(
+                seen.insert(bus.keystream(addr)),
+                "keystream reuse at {addr:#x}"
+            );
         }
     }
 
@@ -200,9 +206,9 @@ mod tests {
         let mut passes = 0;
         for addr in (0..4096u64 * 64).step_by(64) {
             let k = bus.keystream(addr);
-            let ok = [0usize, 16, 32, 48].iter().all(|&g| {
-                w(&k, g) ^ w(&k, g + 2) == w(&k, g + 8) ^ w(&k, g + 10)
-            });
+            let ok = [0usize, 16, 32, 48]
+                .iter()
+                .all(|&g| w(&k, g) ^ w(&k, g + 2) == w(&k, g + 8) ^ w(&k, g + 10));
             if ok {
                 passes += 1;
             }

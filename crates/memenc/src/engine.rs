@@ -182,8 +182,7 @@ impl CipherEngineSpec {
     /// Peak keystream throughput in GB/s (one injection per
     /// `issue_interval_cycles`, 64 / `issues_per_block` bytes each).
     pub fn throughput_gbps(&self) -> f64 {
-        self.max_freq_ghz * 64.0
-            / f64::from(self.issues_per_block * self.issue_interval_cycles)
+        self.max_freq_ghz * 64.0 / f64::from(self.issues_per_block * self.issue_interval_cycles)
     }
 }
 
@@ -231,7 +230,11 @@ mod tests {
 
     #[test]
     fn chacha_issues_once_per_block() {
-        for kind in [EngineKind::ChaCha8, EngineKind::ChaCha12, EngineKind::ChaCha20] {
+        for kind in [
+            EngineKind::ChaCha8,
+            EngineKind::ChaCha12,
+            EngineKind::ChaCha20,
+        ] {
             assert_eq!(spec(kind).issues_per_block, 1);
         }
         assert_eq!(spec(EngineKind::Aes128).issues_per_block, 4);

@@ -83,9 +83,8 @@ impl OverlapModel {
             // The last injection enters (issues-1) issue intervals after
             // the first and emerges a pipeline delay later.
             let done = issue_start
-                + f64::from(
-                    (self.spec.issues_per_block - 1) * self.spec.issue_interval_cycles,
-                ) * cycle
+                + f64::from((self.spec.issues_per_block - 1) * self.spec.issue_interval_cycles)
+                    * cycle
                 + self.spec.pipeline_delay_ns();
             worst = worst.max(done - arrival);
         }
@@ -146,8 +145,7 @@ mod tests {
         assert!(aes.burst_latency(18).latency_ns > aes.burst_latency(1).latency_ns + 5.0);
         let chacha = model(EngineKind::ChaCha8);
         assert!(
-            (chacha.burst_latency(18).latency_ns - chacha.burst_latency(1).latency_ns).abs()
-                < 1e-9
+            (chacha.burst_latency(18).latency_ns - chacha.burst_latency(1).latency_ns).abs() < 1e-9
         );
     }
 

@@ -186,7 +186,12 @@ mod tests {
         for cpu in &FIGURE7_CPUS {
             for kind in [EngineKind::Aes128, EngineKind::ChaCha8] {
                 let o = overhead(cpu, kind, 1.0);
-                assert!(o.area_pct <= 1.05, "{} {kind:?}: {:.2}%", cpu.name, o.area_pct);
+                assert!(
+                    o.area_pct <= 1.05,
+                    "{} {kind:?}: {:.2}%",
+                    cpu.name,
+                    o.area_pct
+                );
             }
         }
     }
@@ -196,7 +201,12 @@ mod tests {
         for cpu in FIGURE7_CPUS.iter().skip(1) {
             for kind in [EngineKind::Aes128, EngineKind::ChaCha8] {
                 let o = overhead(cpu, kind, 1.0);
-                assert!(o.power_pct < 3.0, "{} {kind:?}: {:.2}%", cpu.name, o.power_pct);
+                assert!(
+                    o.power_pct < 3.0,
+                    "{} {kind:?}: {:.2}%",
+                    cpu.name,
+                    o.power_pct
+                );
             }
         }
     }

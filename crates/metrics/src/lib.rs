@@ -101,19 +101,7 @@ impl Gauge {
 /// 1 µs to ~67 s. Fourteen buckets plus overflow cover everything from a
 /// single litmus batch to a whole-dump pass without tuning.
 pub const LATENCY_US_BOUNDS: [u64; 14] = [
-    1,
-    4,
-    16,
-    64,
-    256,
-    1_024,
-    4_096,
-    16_384,
-    65_536,
-    262_144,
-    1_048_576,
-    4_194_304,
-    16_777_216,
+    1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304, 16_777_216,
     67_108_864,
 ];
 
@@ -468,7 +456,11 @@ mod tests {
         assert_eq!(snap[0].value, SnapshotValue::Counter(7));
         assert_eq!(snap[1].value, SnapshotValue::Gauge(4));
         match &snap[2].value {
-            SnapshotValue::Histogram { count, sum, buckets } => {
+            SnapshotValue::Histogram {
+                count,
+                sum,
+                buckets,
+            } => {
                 assert_eq!((*count, *sum), (1, 100));
                 assert_eq!(buckets.len(), LATENCY_US_BOUNDS.len() + 1);
             }

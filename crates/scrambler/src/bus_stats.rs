@@ -159,7 +159,11 @@ mod tests {
         // DDR4 key structure itself can make one intra-block boundary
         // switch heavily when a group mask is dense, so the *worst* single
         // event is not the discriminator — the sustained fraction is.)
-        assert!(plain.high_switch_fraction > 0.12, "{}", plain.high_switch_fraction);
+        assert!(
+            plain.high_switch_fraction > 0.12,
+            "{}",
+            plain.high_switch_fraction
+        );
         assert!(
             scrambled.high_switch_fraction < 0.02,
             "high-switch fraction {}",

@@ -198,7 +198,10 @@ impl Machine {
         } else {
             0
         };
-        mix64(self.machine_id, epoch.wrapping_mul(0x1234_5678_9ABC_DEF1) ^ 0xB007)
+        mix64(
+            self.machine_id,
+            epoch.wrapping_mul(0x1234_5678_9ABC_DEF1) ^ 0xB007,
+        )
     }
 
     fn apply_boot(&mut self) {
@@ -309,7 +312,10 @@ impl Machine {
     }
 
     fn check_bounds(&self, addr: u64, len: usize) -> Result<(), MachineError> {
-        if addr.checked_add(len as u64).is_none_or(|end| end > self.capacity()) {
+        if addr
+            .checked_add(len as u64)
+            .is_none_or(|end| end > self.capacity())
+        {
             return Err(MachineError::OutOfBounds {
                 addr,
                 len,
@@ -603,10 +609,7 @@ mod tests {
     #[test]
     fn cross_generation_transplant_garbles_addresses() {
         let g = DramGeometry::ddr3_dual_channel_4gib();
-        let small = DramGeometry {
-            rows: 64,
-            ..g
-        };
+        let small = DramGeometry { rows: 64, ..g };
         let mut snb = Machine::new(
             Microarchitecture::SandyBridge,
             small,
@@ -615,7 +618,11 @@ mod tests {
         );
         let size = snb.capacity() as usize;
         snb.insert_module(DramModule::new(size, 5)).unwrap();
-        let data: Vec<u8> = (0..=255).cycle().take(1 << 16).map(|b: u16| b as u8).collect();
+        let data: Vec<u8> = (0..=255)
+            .cycle()
+            .take(1 << 16)
+            .map(|b: u16| b as u8)
+            .collect();
         snb.write(0, &data).unwrap();
         let module = snb.remove_module().unwrap();
 

@@ -86,8 +86,7 @@ impl Ddr3Scrambler {
 
     /// The key id (0..16) used for a physical address.
     pub fn key_id_of(&self, phys_addr: u64) -> usize {
-        (self.mapping.channel_block_index(phys_addr) % crate::DDR3_KEYS_PER_CHANNEL as u64)
-            as usize
+        (self.mapping.channel_block_index(phys_addr) % crate::DDR3_KEYS_PER_CHANNEL as u64) as usize
     }
 
     /// The concrete 64-byte key for `(channel, key_id)`.

@@ -88,8 +88,7 @@ impl Ddr4Scrambler {
     /// The key id (0..4096) used for a physical address: 12 bits of the
     /// channel-local block index.
     pub fn key_id_of(&self, phys_addr: u64) -> usize {
-        (self.mapping.channel_block_index(phys_addr) % crate::DDR4_KEYS_PER_CHANNEL as u64)
-            as usize
+        (self.mapping.channel_block_index(phys_addr) % crate::DDR4_KEYS_PER_CHANNEL as u64) as usize
     }
 
     /// The concrete 64-byte key for `(channel, key_id)`.

@@ -85,7 +85,10 @@ impl fmt::Debug for MountedVolume {
         f.debug_struct("MountedVolume")
             .field("key_table_addr", &self.key_table_addr)
             .field("policy", &self.policy)
-            .field("register_keys", &self.register_keys.as_ref().map(|_| "[redacted]"))
+            .field(
+                "register_keys",
+                &self.register_keys.as_ref().map(|_| "[redacted]"),
+            )
             .finish()
     }
 }

@@ -302,7 +302,10 @@ mod tests {
     #[test]
     fn wrong_password_rejected() {
         let vol = Volume::create(b"correct horse", PLAINTEXT, &mut rng());
-        assert_eq!(vol.unlock(b"battery staple"), Err(VolumeError::WrongPassword));
+        assert_eq!(
+            vol.unlock(b"battery staple"),
+            Err(VolumeError::WrongPassword)
+        );
     }
 
     #[test]

@@ -86,7 +86,12 @@ fn main() {
     // expanded XTS key schedules sit in scrambled DRAM.
     let secret = b"medical records, client ledgers, signing keys";
     let volume = Volume::create(b"a very strong password", secret, &mut SplitMix64::new(9));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        1,
+    );
     let capacity = victim.capacity() as usize;
     victim
         .insert_module(DramModule::with_quality(capacity, 7, 0.35))
@@ -98,7 +103,12 @@ fn main() {
 
     // The attack: freeze, pull, carry for five seconds, dump on our own
     // machine (same CPU generation; our scrambler stays on).
-    let mut attacker = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        2,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -106,7 +116,10 @@ fn main() {
         DecayModel::paper_calibrated(),
     )
     .expect("transplant");
-    println!("DIMM frozen, transplanted, dumped: {} KiB", dump.len() >> 10);
+    println!(
+        "DIMM frozen, transplanted, dumped: {} KiB",
+        dump.len() >> 10
+    );
 
     // Mine scrambler keys, search for AES schedules, recover master keys —
     // from the CBDF file if asked, in memory otherwise.
@@ -132,7 +145,9 @@ fn main() {
         data_key: pair[0].master_key.clone().try_into().expect("32 bytes"),
         tweak_key: pair[1].master_key.clone().try_into().expect("32 bytes"),
     };
-    let plaintext = volume.decrypt_all(&keys).expect("master keys decrypt the volume");
+    let plaintext = volume
+        .decrypt_all(&keys)
+        .expect("master keys decrypt the volume");
     assert_eq!(&plaintext[..secret.len()], secret);
     println!(
         "volume decrypted WITHOUT the password: {:?}",

@@ -31,7 +31,12 @@ fn geometry() -> DramGeometry {
 }
 
 fn victim_with_mounted_volume(volume: &Volume) -> Machine {
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        1,
+    );
     let size = victim.capacity() as usize;
     // Retentive module (99% charge retention at -25C/5s — the good end of
     // the paper's observed 90-99% range).
@@ -50,8 +55,12 @@ fn full_cold_boot_attack_recovers_the_disk_keys() {
     let true_keys = volume.unlock(PASSWORD).expect("password is correct");
 
     // Transplant with realistic decay.
-    let mut attacker =
-        Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        2,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -93,7 +102,12 @@ fn clean_unmount_defeats_the_attack() {
     // §II-B: erasing keys at unmount protects — if the attacker arrives
     // afterwards.
     let volume = Volume::create(PASSWORD, SECRET, &mut SplitMix64::new(2));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        1,
+    );
     let size = victim.capacity() as usize;
     victim
         .insert_module(DramModule::with_quality(size, 43, 0.35))
@@ -103,8 +117,12 @@ fn clean_unmount_defeats_the_attack() {
         MountedVolume::mount(&mut victim, &volume, PASSWORD, KEY_TABLE_ADDR).expect("mountable");
     mounted.unmount(&mut victim).expect("unmount zeroizes");
 
-    let mut attacker =
-        Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        2,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -126,7 +144,12 @@ fn tresor_style_key_storage_defeats_the_attack() {
     // even with a lossless transplant.
     use coldboot_veracrypt::mount::KeyStoragePolicy;
     let volume = Volume::create(PASSWORD, SECRET, &mut SplitMix64::new(9));
-    let mut victim = Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 4);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        4,
+    );
     let size = victim.capacity() as usize;
     victim
         .insert_module(DramModule::new(size, 44))
@@ -141,12 +164,18 @@ fn tresor_style_key_storage_defeats_the_attack() {
     )
     .expect("mountable");
     // The volume is live and readable...
-    let sector = mounted.read_sector(&mut victim, &volume, 0).expect("readable");
+    let sector = mounted
+        .read_sector(&mut victim, &volume, 0)
+        .expect("readable");
     assert_eq!(&sector[..SECRET.len()], SECRET);
 
     // ...but the attack comes up empty.
-    let mut attacker =
-        Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 5);
+    let mut attacker = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        5,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,

@@ -31,8 +31,12 @@ const SECRET: &[u8] = b"DDR3 never stood a chance";
 #[test]
 fn ddr3_frequency_attack_recovers_disk_keys() {
     let volume = Volume::create(b"pw", SECRET, &mut SplitMix64::new(3));
-    let mut victim =
-        Machine::new(Microarchitecture::SandyBridge, geometry(), BiosConfig::default(), 1);
+    let mut victim = Machine::new(
+        Microarchitecture::SandyBridge,
+        geometry(),
+        BiosConfig::default(),
+        1,
+    );
     let size = victim.capacity() as usize;
     victim
         .insert_module(DramModule::with_quality(size, 5, 0.35))
@@ -41,8 +45,12 @@ fn ddr3_frequency_attack_recovers_disk_keys() {
     MountedVolume::mount(&mut victim, &volume, b"pw", 0x2_0030).expect("mountable");
 
     // Same-generation attacker, scrambler enabled, frozen transplant.
-    let mut attacker =
-        Machine::new(Microarchitecture::SandyBridge, geometry(), BiosConfig::default(), 2);
+    let mut attacker = Machine::new(
+        Microarchitecture::SandyBridge,
+        geometry(),
+        BiosConfig::default(),
+        2,
+    );
     let dump = capture_dump_via_transplant(
         &mut victim,
         &mut attacker,
@@ -83,9 +91,16 @@ fn frequency_analysis_fails_on_ddr4_key_pool() {
         rows: 64,
         blocks_per_row: 64,
     };
-    let mut machine = Machine::new(Microarchitecture::Skylake, geometry, BiosConfig::default(), 9);
+    let mut machine = Machine::new(
+        Microarchitecture::Skylake,
+        geometry,
+        BiosConfig::default(),
+        9,
+    );
     let size = machine.capacity() as usize;
-    machine.insert_module(DramModule::new(size, 1)).expect("fresh socket");
+    machine
+        .insert_module(DramModule::new(size, 1))
+        .expect("fresh socket");
     fill_mostly_zero(&mut machine, 5).expect("module present");
     let raw = MemoryDump::new(machine.peek_raw(0, size).expect("module present"), 0);
     let top = ddr3::frequency_keys(&raw, 48);

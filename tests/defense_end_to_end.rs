@@ -33,8 +33,13 @@ fn geometry() -> DramGeometry {
 #[test]
 fn attack_fails_against_encrypted_memory() {
     for kind in [EngineKind::ChaCha8, EngineKind::Aes128] {
-        let mut victim =
-            encrypted_machine(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 1, kind);
+        let mut victim = encrypted_machine(
+            Microarchitecture::Skylake,
+            geometry(),
+            BiosConfig::default(),
+            1,
+            kind,
+        );
         let size = victim.capacity() as usize;
         victim
             .insert_module(DramModule::new(size, 5))
@@ -43,8 +48,13 @@ fn attack_fails_against_encrypted_memory() {
         let volume = Volume::create(b"pw", b"secret payload", &mut SplitMix64::new(6));
         MountedVolume::mount(&mut victim, &volume, b"pw", 0x8_0070).expect("mountable");
 
-        let mut attacker =
-            encrypted_machine(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 2, kind);
+        let mut attacker = encrypted_machine(
+            Microarchitecture::Skylake,
+            geometry(),
+            BiosConfig::default(),
+            2,
+            kind,
+        );
         let dump = capture_dump_via_transplant(
             &mut victim,
             &mut attacker,
@@ -55,7 +65,11 @@ fn attack_fails_against_encrypted_memory() {
 
         // The image is cryptographically featureless.
         let stats = obfuscation_report(&dump);
-        assert!(stats.entropy_bits > 7.99, "{kind}: entropy {}", stats.entropy_bits);
+        assert!(
+            stats.entropy_bits > 7.99,
+            "{kind}: entropy {}",
+            stats.entropy_bits
+        );
         assert_eq!(
             stats.duplicate_fraction, 0.0,
             "{kind}: correlated blocks in encrypted memory"
@@ -64,7 +78,10 @@ fn attack_fails_against_encrypted_memory() {
         // The attack pipeline finds nothing at all.
         let report = run_ddr4_attack(&dump, &AttackConfig::default());
         assert!(report.candidates.is_empty(), "{kind}: mined scrambler keys");
-        assert!(report.outcome.recovered.is_empty(), "{kind}: recovered keys");
+        assert!(
+            report.outcome.recovered.is_empty(),
+            "{kind}: recovered keys"
+        );
     }
 }
 
@@ -84,10 +101,16 @@ fn viable_engines_have_zero_exposed_latency() {
 
 #[test]
 fn encrypted_machine_still_works_as_memory() {
-    let mut m =
-        encrypted_machine(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 9, EngineKind::ChaCha8);
+    let mut m = encrypted_machine(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        9,
+        EngineKind::ChaCha8,
+    );
     let size = m.capacity() as usize;
-    m.insert_module(DramModule::new(size, 1)).expect("fresh socket");
+    m.insert_module(DramModule::new(size, 1))
+        .expect("fresh socket");
     let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
     m.write(0x1234, &data).expect("in range");
     let mut buf = vec![0u8; data.len()];

@@ -38,8 +38,12 @@ fn lazy_transplant() -> TransplantParams {
 }
 
 fn prepared_victim(module: DramModule, machine_id: u64) -> Machine {
-    let mut victim =
-        Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), machine_id);
+    let mut victim = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        machine_id,
+    );
     victim.insert_module(module).expect("fresh socket");
     fill_mostly_zero(&mut victim, machine_id).expect("module present");
     let volume = Volume::create(b"pw", b"nvdimm secret", &mut SplitMix64::new(machine_id));
@@ -53,8 +57,12 @@ fn warm_attack_fails_on_dram_but_succeeds_on_nvdimm() {
 
     // DRAM victim, lazy transplant: everything decays away.
     let mut dram_victim = prepared_victim(DramModule::new(size, 1), 1);
-    let mut attacker1 =
-        Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 101);
+    let mut attacker1 = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        101,
+    );
     let dump = capture_dump_via_transplant(
         &mut dram_victim,
         &mut attacker1,
@@ -70,8 +78,12 @@ fn warm_attack_fails_on_dram_but_succeeds_on_nvdimm() {
 
     // NVDIMM victim, same lazy transplant: full recovery.
     let mut nvdimm_victim = prepared_victim(DramModule::nvdimm(size, 2), 2);
-    let mut attacker2 =
-        Machine::new(Microarchitecture::Skylake, geometry(), BiosConfig::default(), 102);
+    let mut attacker2 = Machine::new(
+        Microarchitecture::Skylake,
+        geometry(),
+        BiosConfig::default(),
+        102,
+    );
     let dump = capture_dump_via_transplant(
         &mut nvdimm_victim,
         &mut attacker2,

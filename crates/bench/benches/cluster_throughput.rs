@@ -18,10 +18,10 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use coldboot_bench::history;
-use coldboot_bench::report::Json;
 use coldboot_cluster::server::{ClusterConfig, ClusterServer};
 use coldboot_dumpio::format::DumpMeta;
 use coldboot_dumpio::json as wire_json;
+use coldboot_dumpio::json::Json;
 use coldboot_dumpio::service::{DumpService, ServiceConfig};
 use coldboot_dumpio::writer::write_image;
 

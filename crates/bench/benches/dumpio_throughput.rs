@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use coldboot::attack::ddr3::frequency_keys;
 use coldboot::dump::MemoryDump;
-use coldboot_bench::report::Json;
 use coldboot_crypto::rng::SplitMix64;
 use coldboot_dumpio::format::DumpMeta;
+use coldboot_dumpio::json::Json;
 use coldboot_dumpio::pipeline::{frequency_range, ScanControl};
 use coldboot_dumpio::reader::DumpReader;
 use coldboot_dumpio::writer::write_image;

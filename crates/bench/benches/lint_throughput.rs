@@ -23,7 +23,8 @@ use coldboot_analyzer::{
     concurrency_findings, lint_workspace_with, load_config, summarize_sources,
     walk::collect_sources, LintConfig, LintOptions, RunStats,
 };
-use coldboot_bench::{history, report::Json};
+use coldboot_bench::history;
+use coldboot_dumpio::json::Json;
 use std::hint::black_box;
 
 /// The workspace root, two levels up from this crate's manifest.

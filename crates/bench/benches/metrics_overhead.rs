@@ -14,8 +14,8 @@ use std::time::Instant;
 
 use coldboot::dump::MemoryDump;
 use coldboot::litmus::{KeyMiner, MiningConfig, MiningMetrics};
-use coldboot_bench::report::Json;
 use coldboot_bench::workload::{generate_image, WorkloadMix};
+use coldboot_dumpio::json::Json;
 use coldboot_metrics::{MetricsRegistry, SnapshotValue};
 use std::hint::black_box;
 

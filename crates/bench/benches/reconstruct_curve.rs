@@ -27,10 +27,10 @@ use coldboot::keysearch::{search_dump, SearchConfig};
 use coldboot::litmus::CandidateKey;
 use coldboot::reconstruct::ReconstructConfig;
 use coldboot_bench::history;
-use coldboot_bench::report::Json;
 use coldboot_crypto::aes::KeySchedule;
 use coldboot_crypto::rng::SplitMix64;
 use coldboot_dram::retention::{apply_decay, BitChannel};
+use coldboot_dumpio::json::Json;
 
 /// Charged-bit decay fractions swept, hard freeze → warm transfer.
 const DECAY_LEVELS: [f64; 5] = [0.02, 0.08, 0.15, 0.22, 0.30];

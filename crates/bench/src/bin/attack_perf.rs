@@ -23,11 +23,11 @@ use coldboot::attack::{AttackConfig, AttackReport};
 use coldboot::dump::MemoryDump;
 use coldboot::keysearch::{search_dump, SearchConfig};
 use coldboot::litmus::{mine_candidate_keys, CandidateKey, MiningConfig};
-use coldboot_bench::report::Json;
 use coldboot_bench::table;
 use coldboot_bench::workload::{generate_image, WorkloadMix};
 use coldboot_crypto::aes::KeySchedule;
 use coldboot_dumpio::format::DumpMeta;
+use coldboot_dumpio::json::Json;
 use coldboot_dumpio::pipeline::{attack_file, ScanControl, DEFAULT_WINDOW_BLOCKS};
 use coldboot_dumpio::reader::DumpReader;
 use coldboot_dumpio::writer::write_image;

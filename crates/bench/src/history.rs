@@ -16,7 +16,7 @@ use std::io::Write;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::report::{parse, Json};
+use coldboot_dumpio::json::{parse, Json};
 
 /// The shared trajectory file, appended to from the workspace root (the
 /// benches emit their snapshots there too).

@@ -22,6 +22,5 @@
 
 pub mod history;
 pub mod machines;
-pub mod report;
 pub mod table;
 pub mod workload;

@@ -52,9 +52,11 @@ use std::time::{Duration, Instant};
 
 use coldboot_dumpio::json::{self, Json};
 use coldboot_dumpio::service::{JobTable, MAX_WAIT_MS};
+use coldboot_dumpio::wire::{result_reply, JobSpec, JobState};
 use coldboot_dumpio::DumpReader;
+use coldboot_metrics::duration_us;
 
-use crate::merge::{Assembly, JobSpec, ShardRequest, Step};
+use crate::merge::{Assembly, ShardRequest, Step};
 use crate::stats::ClusterMetrics;
 
 /// Scheduling and failover knobs.
@@ -83,14 +85,6 @@ impl Default for BackendOptions {
             io_timeout: Duration::from_secs(2),
         }
     }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JobState {
-    Running,
-    /// Finished, with the merged result rendered compact once.
-    Done(Arc<str>),
-    Failed(String),
 }
 
 struct Entry {
@@ -132,10 +126,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn duration_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
 /// The coordinator's scheduling core: job table, shard queue, and one
 /// runner thread per worker.
 pub struct Backend {
@@ -173,11 +163,12 @@ impl Backend {
         }
     }
 
-    /// Plans and enqueues a job. The dump is opened locally once to read
-    /// its size (the coordinator shares storage with the workers).
-    pub fn submit(&self, spec: JobSpec) -> Result<u64, String> {
+    /// Plans and enqueues a job split into `shards` shards per phase. The
+    /// dump is opened locally once to read its size (the coordinator
+    /// shares storage with the workers).
+    pub fn submit(&self, spec: JobSpec, shards: usize) -> Result<u64, String> {
         let total_bytes = read_total_bytes(&spec.dump)?;
-        let mut assembly = Assembly::new(spec, total_bytes);
+        let mut assembly = Assembly::new(spec, shards, total_bytes);
         let step = assembly.begin();
         if matches!(step, Step::Wait) {
             return Err("planner returned no work".to_string());
@@ -226,7 +217,7 @@ impl Backend {
             ("id".to_string(), Json::Int(id as i64)),
             (
                 "state".to_string(),
-                Json::Str(state_name(&entry.state).to_string()),
+                Json::Str(entry.state.name().to_string()),
             ),
             (
                 "phase".to_string(),
@@ -246,24 +237,7 @@ impl Backend {
     #[must_use]
     pub fn result_json(&self, id: u64) -> Option<Json> {
         let state = lock(&self.shared.state);
-        let entry = state.jobs.get(id)?;
-        let result = match &entry.state {
-            JobState::Done(rendered) => Json::Raw(Arc::clone(rendered)),
-            _ => Json::Null,
-        };
-        let mut pairs = vec![
-            ("ok".to_string(), Json::Bool(true)),
-            ("id".to_string(), Json::Int(id as i64)),
-            (
-                "state".to_string(),
-                Json::Str(state_name(&entry.state).to_string()),
-            ),
-            ("result".to_string(), result),
-        ];
-        if let JobState::Failed(why) = &entry.state {
-            pairs.push(("error".to_string(), Json::Str(why.clone())));
-        }
-        Some(Json::Obj(pairs))
+        Some(result_reply(id, &state.jobs.get(id)?.state))
     }
 
     /// Whether a job is no longer running: it reached `done` or
@@ -311,14 +285,6 @@ impl Backend {
             // A runner that panicked already poisoned nothing we rely on.
             let _ = handle.join();
         }
-    }
-}
-
-fn state_name(state: &JobState) -> &'static str {
-    match state {
-        JobState::Running => "running",
-        JobState::Done(_) => "done",
-        JobState::Failed(_) => "failed",
     }
 }
 

@@ -8,8 +8,11 @@
 //! * [`merge`] — deterministic shard planning and result assembly. A job
 //!   is split into contiguous block ranges
 //!   ([`coldboot_dumpio::pipeline::plan_shards`]); each worker returns a
-//!   *mergeable partial* (the `crate::wire` shapes the `dumpd` shard
-//!   protocol emits), and the coordinator finishes the fold exactly once.
+//!   *mergeable partial*, and the coordinator finishes the fold exactly
+//!   once. Every document the coordinator reads or writes — client and
+//!   shard submits, shard replies, finished results, error and `result`
+//!   replies — goes through [`coldboot_dumpio::wire`], the codec `dumpd`
+//!   itself uses.
 //!   The merged output is byte-identical to a single-node run at any
 //!   shard count — mining and frequency merges are commutative, and the
 //!   search merge replays the order-sensitive recovery dedup over the
@@ -44,6 +47,6 @@ pub mod server;
 pub mod stats;
 
 pub use backend::{Backend, BackendOptions};
-pub use merge::{Assembly, JobKind, JobSpec, ShardRequest, Step};
+pub use merge::{Assembly, ShardRequest, Step};
 pub use server::{ClusterConfig, ClusterServer};
 pub use stats::ClusterMetrics;

@@ -2,15 +2,15 @@
 //!
 //! An [`Assembly`] owns one cluster job from plan to merged result. It
 //! splits the job into contiguous block-range shards with
-//! [`plan_shards`], emits the exact `submit` bodies the `dumpd` shard
-//! protocol expects, and folds the workers' mergeable partials back
-//! together with the scan engine's own merge primitives:
+//! [`plan_shards`], renders each shard's `submit` from the client's
+//! [`JobSpec`] ([`JobSpec::to_json`]), and folds the workers' mergeable
+//! partials ([`wire::shard_reply_from_json`]) back together with the scan
+//! engine's own merge primitives:
 //!
-//! * **mine** — shards return raw [`MinedObservation`] exports
-//!   ([`coldboot_dumpio::wire::observations_from_json`]); the assembly
-//!   absorbs them into one [`KeyMiner`] (absorption is commutative) and
-//!   calls `finish` exactly once, so consolidation and ordering match a
-//!   single-node pass bit for bit.
+//! * **mine** — shards return raw [`MinedObservation`] exports; the
+//!   assembly absorbs them into one [`KeyMiner`] (absorption is
+//!   commutative) and calls `finish` exactly once, so consolidation and
+//!   ordering match a single-node pass bit for bit.
 //! * **search** — shards return *pre-dedup* recovery lists in
 //!   verification order ([`SearchPartial`]); the assembly stores them by
 //!   shard index and replays the order-sensitive dedup with
@@ -23,102 +23,26 @@
 //! transition happens inside [`Assembly::accept`] when the last shard of
 //! a phase lands, and the caller just dispatches whatever
 //! [`Step::Dispatch`] hands back. Because every fold is either
-//! commutative or replayed in shard order, the final JSON is
-//! byte-identical to the single-node `dumpd` result at any shard count —
-//! the cluster integration tests assert exactly that.
+//! commutative or replayed in shard order, and the finished result is
+//! rendered by the same [`wire`] functions `dumpd` uses, the final JSON
+//! is byte-identical to the single-node `dumpd` result at any shard count
+//! — the cluster integration tests assert exactly that.
 //!
 //! This module is pure state-machine logic: no sockets, no threads, no
 //! clocks. The [`crate::backend`] owns all of those.
+//!
+//! [`MinedObservation`]: coldboot::litmus::MinedObservation
 
 use std::ops::Range;
 
 use coldboot::attack::ddr3::FrequencyCounter;
-use coldboot::attack::AttackConfig;
+use coldboot::attack::{mining_limit, AttackConfig, AttackReport};
 use coldboot::keysearch::{merge_search_partials, SearchPartial};
 use coldboot::litmus::{CandidateKey, KeyMiner, MiningConfig};
 use coldboot_dram::BLOCK_BYTES;
 use coldboot_dumpio::json::Json;
 use coldboot_dumpio::pipeline::plan_shards;
-use coldboot_dumpio::wire;
-
-/// What a cluster job computes — mirrors the `dumpd` job kinds that can
-/// be sharded. (`search_shard` is an internal phase, not a client kind.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
-    /// Full attack: mine the prefix, then search the whole image.
-    Attack,
-    /// Mining only.
-    Mine,
-    /// Block-frequency census.
-    Frequency,
-}
-
-impl JobKind {
-    /// Parses the client-facing kind string; `"search"` is an alias for
-    /// `"attack"`, as in the `dumpd` protocol.
-    #[must_use]
-    pub fn parse(kind: &str) -> Option<Self> {
-        match kind {
-            "attack" | "search" => Some(Self::Attack),
-            "mine" => Some(Self::Mine),
-            "frequency" => Some(Self::Frequency),
-            _ => None,
-        }
-    }
-}
-
-/// A cluster job description: what to scan, how to split it, and the
-/// scan knobs forwarded to every shard.
-#[derive(Debug, Clone)]
-pub struct JobSpec {
-    /// The computation to run.
-    pub kind: JobKind,
-    /// Path of the CBDF dump **as the workers see it** (shared storage).
-    pub dump: String,
-    /// Number of shards to split each phase into (≥ 1; capped by the
-    /// image's block count when the image is smaller).
-    pub shards: usize,
-    /// Streaming window forwarded to each shard; `0` keeps the worker's
-    /// default.
-    pub window_blocks: u64,
-    /// Deep search profile for the attack's search phase.
-    pub deep: bool,
-    /// Top-N cut for the merged frequency census.
-    pub top_keys: u64,
-    /// Mining prefix override in bytes (attack and mine kinds).
-    pub max_bytes: Option<u64>,
-    /// Worker threads per shard scan (shards are the cluster's
-    /// parallelism; per-shard threading stays conservative).
-    pub threads: u64,
-    /// Ground-state dump path **as the workers see it**; forwarded to
-    /// every search shard to enable channel-model reconstruction.
-    pub ground: Option<String>,
-    /// Explicit decay-fraction override forwarded with `ground` (the
-    /// workers otherwise derive the channel from the dump's metadata).
-    pub decay_fraction: Option<f64>,
-    /// Branch-and-bound work budget forwarded with `ground`.
-    pub work_budget: Option<u64>,
-}
-
-impl JobSpec {
-    /// A spec with the same defaults a bare `dumpd` submit gets.
-    #[must_use]
-    pub fn new(kind: JobKind, dump: impl Into<String>) -> Self {
-        Self {
-            kind,
-            dump: dump.into(),
-            shards: 1,
-            window_blocks: 0,
-            deep: false,
-            top_keys: 48,
-            max_bytes: None,
-            threads: 1,
-            ground: None,
-            decay_fraction: None,
-            work_budget: None,
-        }
-    }
-}
+use coldboot_dumpio::wire::{self, JobKind, JobSpec, ShardPartial};
 
 /// One shard's worth of work: the block range and the ready-to-send
 /// `submit` body for a worker.
@@ -142,23 +66,19 @@ pub enum Step {
     Done(Json),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Mine,
-    Search,
-    Frequency,
-    Complete,
-}
-
 /// The per-job merge state machine. See the module docs for the protocol.
 pub struct Assembly {
     spec: JobSpec,
+    /// Shards per phase (capped by the phase's block count).
+    shard_count: usize,
     total_blocks: u64,
     /// Bytes the mining phase covers — matches the single-node
-    /// `mined_bytes` report field exactly (prefix clamped to the image
-    /// and rounded up to whole blocks).
+    /// `mined_bytes` report field exactly.
     mined_bytes: u64,
-    phase: Phase,
+    /// The kind of the current phase's shard jobs (`Mine`, `SearchShard`
+    /// or `Frequency`); `None` before [`Assembly::begin`] and once the
+    /// job is complete.
+    phase: Option<JobKind>,
     shards: Vec<Range<u64>>,
     delivered: Vec<bool>,
     remaining: usize,
@@ -171,38 +91,39 @@ pub struct Assembly {
 }
 
 impl Assembly {
-    /// Plans a job over an image of `total_bytes`. Call [`begin`] to get
-    /// the first dispatch.
+    /// Plans the client's job `spec` over an image of `total_bytes`, each
+    /// phase split into `shards` shards. Call [`begin`] to get the first
+    /// dispatch. A `search_shard` spec is a worker phase, not a cluster
+    /// job: it plans no shard and completes with a `null` result.
     ///
     /// [`begin`]: Self::begin
     #[must_use]
-    pub fn new(spec: JobSpec, total_bytes: u64) -> Self {
+    pub fn new(spec: JobSpec, shards: usize, total_bytes: u64) -> Self {
         let total_blocks = total_bytes / BLOCK_BYTES as u64;
         let prefix = match spec.kind {
             JobKind::Attack => spec
                 .max_bytes
                 .unwrap_or(AttackConfig::default().mining_prefix_bytes as u64),
             JobKind::Mine => spec.max_bytes.unwrap_or(total_bytes),
-            JobKind::Frequency => 0,
+            JobKind::Frequency | JobKind::SearchShard => 0,
         };
-        let mined_bytes = prefix
-            .min(total_bytes)
-            .next_multiple_of(BLOCK_BYTES as u64)
-            .min(total_bytes);
+        let mined_bytes = mining_limit(prefix, total_bytes);
         let mine_span = mined_bytes / BLOCK_BYTES as u64;
         let shards_planned = match spec.kind {
             JobKind::Attack => {
-                (plan_shards(mine_span, spec.shards).len()
-                    + plan_shards(total_blocks, spec.shards).len()) as u64
+                (plan_shards(mine_span, shards).len() + plan_shards(total_blocks, shards).len())
+                    as u64
             }
-            JobKind::Mine => plan_shards(mine_span, spec.shards).len() as u64,
-            JobKind::Frequency => plan_shards(total_blocks, spec.shards).len() as u64,
+            JobKind::Mine => plan_shards(mine_span, shards).len() as u64,
+            JobKind::Frequency => plan_shards(total_blocks, shards).len() as u64,
+            JobKind::SearchShard => 0,
         };
         Self {
             spec,
+            shard_count: shards,
             total_blocks,
             mined_bytes,
-            phase: Phase::Complete,
+            phase: None,
             shards: Vec::new(),
             delivered: Vec::new(),
             remaining: 0,
@@ -220,8 +141,9 @@ impl Assembly {
     /// image.
     pub fn begin(&mut self) -> Step {
         self.phase = match self.spec.kind {
-            JobKind::Attack | JobKind::Mine => Phase::Mine,
-            JobKind::Frequency => Phase::Frequency,
+            JobKind::Attack | JobKind::Mine => Some(JobKind::Mine),
+            JobKind::Frequency => Some(JobKind::Frequency),
+            JobKind::SearchShard => None,
         };
         let requests = self.plan_current();
         if self.remaining == 0 {
@@ -239,9 +161,9 @@ impl Assembly {
     /// job — they mean a worker or the transport broke the contract, and
     /// a silently tolerated duplicate would double-count observations.
     pub fn accept(&mut self, shard: &Range<u64>, body: &Json) -> Result<Step, String> {
-        if self.phase == Phase::Complete {
+        let Some(kind) = self.phase else {
             return Err("job already complete".to_string());
-        }
+        };
         let idx = self
             .shards
             .iter()
@@ -253,43 +175,10 @@ impl Assembly {
                 shard.start, shard.end
             ));
         }
-        let expected_kind = match self.phase {
-            Phase::Mine => "mine_shard",
-            Phase::Search => "search_shard",
-            Phase::Frequency => "frequency_shard",
-            Phase::Complete => "done",
-        };
-        let kind = body.get("kind").and_then(Json::as_str).unwrap_or("");
-        if kind != expected_kind {
-            return Err(format!("expected {expected_kind} reply, got {kind:?}"));
-        }
-        let echo = |field: &str| body.get(field).and_then(Json::as_i64);
-        if echo("shard_start") != Some(shard.start as i64)
-            || echo("shard_end") != Some(shard.end as i64)
-        {
-            return Err("shard range echo mismatch".to_string());
-        }
-        match self.phase {
-            Phase::Mine => {
-                let observations = body
-                    .get("observations")
-                    .and_then(wire::observations_from_json)
-                    .ok_or("malformed mine partial")?;
-                self.miner.absorb_observations(observations);
-            }
-            Phase::Search => {
-                let partial =
-                    wire::search_partial_from_json(body).ok_or("malformed search partial")?;
-                self.search_parts[idx] = Some(partial);
-            }
-            Phase::Frequency => {
-                let counts = body
-                    .get("counts")
-                    .and_then(wire::counts_from_json)
-                    .ok_or("malformed frequency partial")?;
-                self.freq.absorb_counts(counts);
-            }
-            Phase::Complete => {}
+        match wire::shard_reply_from_json(body, kind, shard)? {
+            ShardPartial::Mine(observations) => self.miner.absorb_observations(observations),
+            ShardPartial::Frequency(counts) => self.freq.absorb_counts(counts),
+            ShardPartial::Search(partial) => self.search_parts[idx] = Some(partial),
         }
         self.delivered[idx] = true;
         self.remaining -= 1;
@@ -311,24 +200,27 @@ impl Assembly {
     #[must_use]
     pub fn phase_name(&self) -> &'static str {
         match self.phase {
-            Phase::Mine => "mine",
-            Phase::Search => "search",
-            Phase::Frequency => "frequency",
-            Phase::Complete => "done",
+            Some(JobKind::Mine) => "mine",
+            Some(JobKind::SearchShard) => "search",
+            Some(JobKind::Frequency) => "frequency",
+            Some(JobKind::Attack) | None => "done",
         }
     }
 
     /// Plans the current phase and returns its shard requests.
     fn plan_current(&mut self) -> Vec<ShardRequest> {
-        let span = match self.phase {
-            Phase::Mine => self.mined_bytes / BLOCK_BYTES as u64,
-            Phase::Search | Phase::Frequency => self.total_blocks,
-            Phase::Complete => 0,
+        let Some(kind) = self.phase else {
+            self.remaining = 0;
+            return Vec::new();
         };
-        self.shards = plan_shards(span, self.spec.shards);
+        let span = match kind {
+            JobKind::Mine => self.mined_bytes / BLOCK_BYTES as u64,
+            _ => self.total_blocks,
+        };
+        self.shards = plan_shards(span, self.shard_count);
         self.delivered = vec![false; self.shards.len()];
         self.remaining = self.shards.len();
-        self.search_parts = if self.phase == Phase::Search {
+        self.search_parts = if kind == JobKind::SearchShard {
             (0..self.shards.len()).map(|_| None).collect()
         } else {
             Vec::new()
@@ -337,153 +229,80 @@ impl Assembly {
             .iter()
             .map(|shard| ShardRequest {
                 shard: shard.clone(),
-                body: self.shard_body(shard),
+                body: self.shard_spec(kind, shard).to_json(),
             })
             .collect()
     }
 
-    /// The worker `submit` body for one shard of the current phase.
-    fn shard_body(&self, shard: &Range<u64>) -> Json {
-        let kind = match self.phase {
-            Phase::Mine => "mine",
-            Phase::Search => "search_shard",
-            Phase::Frequency => "frequency",
-            Phase::Complete => "done",
-        };
-        let mut pairs = vec![
-            ("verb".to_string(), Json::Str("submit".to_string())),
-            ("kind".to_string(), Json::Str(kind.to_string())),
-            ("dump".to_string(), Json::Str(self.spec.dump.clone())),
-            ("shard_start".to_string(), Json::Int(shard.start as i64)),
-            ("shard_end".to_string(), Json::Int(shard.end as i64)),
-            ("threads".to_string(), Json::Int(self.spec.threads as i64)),
-        ];
-        if self.spec.window_blocks > 0 {
-            pairs.push((
-                "window_blocks".to_string(),
-                Json::Int(self.spec.window_blocks as i64),
-            ));
+    /// The worker's spec for one shard of a `kind` phase, built from the
+    /// client's: the dump, window, threads and top-N cut go to every
+    /// shard; `deep`, the mined candidates and the ground knobs only to
+    /// search shards; `max_bytes` and `timeout_secs` to none.
+    fn shard_spec(&self, kind: JobKind, shard: &Range<u64>) -> JobSpec {
+        let search = kind == JobKind::SearchShard;
+        let spec = &self.spec;
+        JobSpec {
+            kind,
+            dump: spec.dump.clone(),
+            window_blocks: spec.window_blocks,
+            timeout_secs: None,
+            threads: spec.threads,
+            deep: search && spec.deep,
+            max_bytes: None,
+            top_keys: spec.top_keys,
+            shard: Some(shard.clone()),
+            candidates: if search {
+                self.candidates.clone()
+            } else {
+                Vec::new()
+            },
+            ground: spec.ground.clone().filter(|_| search),
+            decay_fraction: spec.decay_fraction.filter(|_| search),
+            work_budget: spec.work_budget.filter(|_| search),
         }
-        if self.phase == Phase::Search {
-            pairs.push(("deep".to_string(), Json::Bool(self.spec.deep)));
-            pairs.push((
-                "candidates".to_string(),
-                wire::candidates_to_json(&self.candidates),
-            ));
-            if let Some(ground) = &self.spec.ground {
-                pairs.push(("ground".to_string(), Json::Str(ground.clone())));
-                if let Some(d) = self.spec.decay_fraction {
-                    pairs.push(("decay_fraction".to_string(), Json::Num(d)));
-                }
-                if let Some(budget) = self.spec.work_budget {
-                    pairs.push(("work_budget".to_string(), Json::Int(budget as i64)));
-                }
-            }
-        }
-        Json::Obj(pairs)
     }
 
     /// Folds the just-completed phase and advances. Cascades through
     /// empty phases (zero-block images plan zero shards).
     fn finish_phase(&mut self) -> Step {
-        match (self.spec.kind, self.phase) {
-            (JobKind::Mine, Phase::Mine) => {
+        match (self.spec.kind, self.phase.take()) {
+            (JobKind::Mine, Some(JobKind::Mine)) => {
                 let miner =
                     std::mem::replace(&mut self.miner, KeyMiner::new(&MiningConfig::default()));
-                self.phase = Phase::Complete;
-                Step::Done(keys_json("mine", &miner.finish()))
+                Step::Done(wire::keys_to_json(JobKind::Mine, &miner.finish()))
             }
-            (JobKind::Attack, Phase::Mine) => {
+            (JobKind::Attack, Some(JobKind::Mine)) => {
                 let miner =
                     std::mem::replace(&mut self.miner, KeyMiner::new(&MiningConfig::default()));
                 self.candidates = miner.finish();
-                self.phase = Phase::Search;
+                self.phase = Some(JobKind::SearchShard);
                 let requests = self.plan_current();
                 if self.remaining == 0 {
                     return self.finish_phase();
                 }
                 Step::Dispatch(requests)
             }
-            (JobKind::Attack, Phase::Search) => {
+            (JobKind::Attack, Some(JobKind::SearchShard)) => {
                 let parts = std::mem::take(&mut self.search_parts);
-                let outcome = merge_search_partials(parts.into_iter().flatten());
-                let recovered = outcome
-                    .recovered
-                    .iter()
-                    .map(|r| {
-                        // Must render exactly like dumpd's single-node
-                        // attack rows — channel fields included — for the
-                        // byte-identity contract.
-                        let mut fields = vec![
-                            ("key_bits", Json::Int((r.master_key.len() * 8) as i64)),
-                            ("master_hex", Json::Str(wire::hex_lower(&r.master_key))),
-                            ("schedule_addr", Json::Int(r.schedule_addr as i64)),
-                            ("total_error_bits", Json::Int(i64::from(r.total_error_bits))),
-                            (
-                                "unexplained_blocks",
-                                Json::Int(i64::from(r.unexplained_blocks)),
-                            ),
-                        ];
-                        if let Some(cost) = r.cost_millinats {
-                            fields.push((
-                                "cost_mnat",
-                                Json::Int(i64::try_from(cost).unwrap_or(i64::MAX)),
-                            ));
-                        }
-                        if let Some(flips) = r.flips {
-                            fields.push(("to_ground_bits", Json::Int(i64::from(flips.to_ground))));
-                            fields.push((
-                                "anti_ground_bits",
-                                Json::Int(i64::from(flips.anti_ground)),
-                            ));
-                        }
-                        Json::obj(fields)
-                    })
-                    .collect();
-                self.phase = Phase::Complete;
-                Step::Done(Json::obj([
-                    ("kind", Json::Str("attack".to_string())),
-                    ("mined_bytes", Json::Int(self.mined_bytes as i64)),
-                    ("candidates", Json::Int(self.candidates.len() as i64)),
-                    ("hits", Json::Int(outcome.hits.len() as i64)),
-                    ("blocks_scanned", Json::Int(outcome.blocks_scanned as i64)),
-                    ("recovered", Json::Arr(recovered)),
-                ]))
+                Step::Done(wire::attack_to_json(&AttackReport {
+                    candidates: std::mem::take(&mut self.candidates),
+                    outcome: merge_search_partials(parts.into_iter().flatten()),
+                    mined_bytes: self.mined_bytes as usize,
+                }))
             }
-            (JobKind::Frequency, Phase::Frequency) => {
+            (JobKind::Frequency, Some(JobKind::Frequency)) => {
                 let freq = std::mem::replace(&mut self.freq, FrequencyCounter::new());
-                self.phase = Phase::Complete;
-                Step::Done(keys_json(
-                    "frequency",
-                    &freq.finish(self.spec.top_keys as usize),
+                Step::Done(wire::keys_to_json(
+                    JobKind::Frequency,
+                    &freq.finish(self.spec.top_keys),
                 ))
             }
-            _ => {
-                // Unreachable by construction (each kind only enters its
-                // own phases); complete defensively rather than panic.
-                self.phase = Phase::Complete;
-                Step::Done(Json::Null)
-            }
+            // Unreachable by construction (each kind only enters its own
+            // phases, and a `search_shard` spec none); complete
+            // defensively rather than panic.
+            _ => Step::Done(Json::Null),
         }
     }
-}
-
-/// The single-node `mine`/`frequency` result shape — must stay rendered
-/// identically to `dumpd`'s `candidates_json` for byte-identity.
-fn keys_json(kind: &'static str, candidates: &[CandidateKey]) -> Json {
-    let rows = candidates
-        .iter()
-        .map(|c| {
-            Json::obj([
-                ("key_hex", Json::Str(wire::hex_lower(&c.key))),
-                ("observations", Json::Int(i64::from(c.observations))),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("kind", Json::Str(kind.to_string())),
-        ("keys", Json::Arr(rows)),
-    ])
 }
 
 #[cfg(test)]
@@ -491,6 +310,7 @@ mod tests {
     use super::*;
     use coldboot::keysearch::{KeySize, RecoveredAesKey, ScheduleHit};
     use coldboot::litmus::MinedObservation;
+    use coldboot_dumpio::json;
 
     const BLOCK: u64 = BLOCK_BYTES as u64;
 
@@ -502,35 +322,26 @@ mod tests {
         }
     }
 
-    /// Renders a worker's `mine_shard` reply body.
+    /// A client's bare submit of `kind` over `/d.cbdf`, as clusterd reads it.
+    fn spec(kind: JobKind) -> JobSpec {
+        let line = format!(
+            r#"{{"verb":"submit","kind":"{}","dump":"/d.cbdf"}}"#,
+            kind.name()
+        );
+        wire::parse_spec(&json::parse(&line).expect("valid json")).expect("valid submit")
+    }
+
+    /// A worker's `mine_shard` reply body.
     fn mine_reply(shard: &Range<u64>, observations: &[MinedObservation]) -> Json {
-        Json::obj([
-            ("kind", Json::Str("mine_shard".to_string())),
-            ("shard_start", Json::Int(shard.start as i64)),
-            ("shard_end", Json::Int(shard.end as i64)),
-            ("observations", wire::observations_to_json(observations)),
-        ])
+        wire::shard_reply_to_json(shard, &ShardPartial::Mine(observations.to_vec()))
     }
 
     fn freq_reply(shard: &Range<u64>, counts: &[([u8; BLOCK_BYTES], u32)]) -> Json {
-        Json::obj([
-            ("kind", Json::Str("frequency_shard".to_string())),
-            ("shard_start", Json::Int(shard.start as i64)),
-            ("shard_end", Json::Int(shard.end as i64)),
-            ("counts", wire::counts_to_json(counts)),
-        ])
+        wire::shard_reply_to_json(shard, &ShardPartial::Frequency(counts.to_vec()))
     }
 
     fn search_reply(shard: &Range<u64>, partial: &SearchPartial) -> Json {
-        let mut pairs = vec![
-            ("kind".to_string(), Json::Str("search_shard".to_string())),
-            ("shard_start".to_string(), Json::Int(shard.start as i64)),
-            ("shard_end".to_string(), Json::Int(shard.end as i64)),
-        ];
-        if let Json::Obj(partial_pairs) = wire::search_partial_to_json(partial) {
-            pairs.extend(partial_pairs);
-        }
-        Json::Obj(pairs)
+        wire::shard_reply_to_json(shard, &ShardPartial::Search(partial.clone()))
     }
 
     fn recovery(seed: u8, schedule_addr: u64) -> RecoveredAesKey {
@@ -559,8 +370,7 @@ mod tests {
             vec![obs(1, 5, 10), obs(2, 1, 3)],
             vec![obs(1, 2, 4), obs(3, 9, 90)],
         ];
-        let spec = JobSpec::new(JobKind::Mine, "/d.cbdf");
-        let mut assembly = Assembly::new(JobSpec { shards: 2, ..spec }, 4 * BLOCK);
+        let mut assembly = Assembly::new(spec(JobKind::Mine), 2, 4 * BLOCK);
         let Step::Dispatch(requests) = assembly.begin() else {
             panic!("expected dispatch");
         };
@@ -587,17 +397,19 @@ mod tests {
 
         let mut reference = KeyMiner::new(&MiningConfig::default());
         reference.absorb_observations(sets.iter().flatten().cloned());
-        assert_eq!(merged, keys_json("mine", &reference.finish()));
+        assert_eq!(
+            merged,
+            wire::keys_to_json(JobKind::Mine, &reference.finish())
+        );
         assert_eq!(assembly.progress(), (2, 2));
         assert_eq!(assembly.phase_name(), "done");
     }
 
     #[test]
     fn frequency_merge_sums_counts_and_cuts_once() {
-        let mut spec = JobSpec::new(JobKind::Frequency, "/d.cbdf");
-        spec.shards = 2;
+        let mut spec = spec(JobKind::Frequency);
         spec.top_keys = 1;
-        let mut assembly = Assembly::new(spec, 4 * BLOCK);
+        let mut assembly = Assembly::new(spec, 2, 4 * BLOCK);
         let Step::Dispatch(requests) = assembly.begin() else {
             panic!("expected dispatch");
         };
@@ -614,17 +426,19 @@ mod tests {
         };
         let mut reference = FrequencyCounter::new();
         reference.absorb_counts(a.iter().chain(&b).copied());
-        assert_eq!(merged, keys_json("frequency", &reference.finish(1)));
+        assert_eq!(
+            merged,
+            wire::keys_to_json(JobKind::Frequency, &reference.finish(1))
+        );
     }
 
     #[test]
     fn attack_phases_chain_and_replay_the_dedup() {
-        let mut spec = JobSpec::new(JobKind::Attack, "/d.cbdf");
-        spec.shards = 2;
+        let mut spec = spec(JobKind::Attack);
         spec.deep = true;
         // 8-block image, 2-block mining prefix.
         spec.max_bytes = Some(2 * BLOCK);
-        let mut assembly = Assembly::new(spec, 8 * BLOCK);
+        let mut assembly = Assembly::new(spec, 2, 8 * BLOCK);
 
         let Step::Dispatch(mine_reqs) = assembly.begin() else {
             panic!("expected mine dispatch");
@@ -723,13 +537,12 @@ mod tests {
     #[test]
     fn reconstruction_knobs_forward_to_search_shards_only() {
         use coldboot::reconstruct::FlipCounts;
-        let mut spec = JobSpec::new(JobKind::Attack, "/d.cbdf");
-        spec.shards = 1;
+        let mut spec = spec(JobKind::Attack);
         spec.max_bytes = Some(BLOCK);
         spec.ground = Some("/g.cbdf".to_string());
         spec.decay_fraction = Some(0.19);
         spec.work_budget = Some(512);
-        let mut assembly = Assembly::new(spec, 4 * BLOCK);
+        let mut assembly = Assembly::new(spec, 1, 4 * BLOCK);
         let Step::Dispatch(mine_reqs) = assembly.begin() else {
             panic!("expected mine dispatch");
         };
@@ -789,7 +602,7 @@ mod tests {
 
     #[test]
     fn empty_image_cascades_to_done() {
-        let mut assembly = Assembly::new(JobSpec::new(JobKind::Attack, "/d.cbdf"), 0);
+        let mut assembly = Assembly::new(spec(JobKind::Attack), 1, 0);
         let Step::Done(result) = assembly.begin() else {
             panic!("empty image completes immediately");
         };
@@ -801,9 +614,7 @@ mod tests {
 
     #[test]
     fn protocol_violations_are_rejected() {
-        let mut spec = JobSpec::new(JobKind::Mine, "/d.cbdf");
-        spec.shards = 2;
-        let mut assembly = Assembly::new(spec, 4 * BLOCK);
+        let mut assembly = Assembly::new(spec(JobKind::Mine), 2, 4 * BLOCK);
         let Step::Dispatch(requests) = assembly.begin() else {
             panic!("expected dispatch");
         };
@@ -832,16 +643,16 @@ mod tests {
 
     #[test]
     fn mined_bytes_matches_the_single_node_formula() {
-        let mut spec = JobSpec::new(JobKind::Attack, "/d.cbdf");
+        let mut spec = spec(JobKind::Attack);
         spec.max_bytes = Some(100);
-        let assembly = Assembly::new(spec.clone(), 10 * BLOCK);
+        let assembly = Assembly::new(spec.clone(), 1, 10 * BLOCK);
         // 100 bytes rounds up to two whole blocks.
         assert_eq!(assembly.mined_bytes, 128);
         spec.max_bytes = Some(10_000);
-        let assembly = Assembly::new(spec.clone(), 10 * BLOCK);
+        let assembly = Assembly::new(spec.clone(), 1, 10 * BLOCK);
         assert_eq!(assembly.mined_bytes, 640, "prefix clamps to the image");
         spec.max_bytes = Some(0);
-        let assembly = Assembly::new(spec, 10 * BLOCK);
+        let assembly = Assembly::new(spec, 1, 10 * BLOCK);
         assert_eq!(assembly.mined_bytes, 0);
     }
 }

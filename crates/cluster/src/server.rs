@@ -17,8 +17,13 @@
 //!   error replies instead of degrading everyone else.
 //!
 //! Verbs mirror `dumpd` (`ping` / `submit` / `status` / `result` /
-//! `stats` / `shutdown`), with the same uniform error shape
-//! `{"ok":false,"status":"error","code":...,"retryable":...,"error":...}`.
+//! `stats` / `shutdown`), and so do the documents: a submit is read by
+//! `dumpd`'s own parser ([`wire::parse_spec`]), so the coordinator
+//! refuses every submit a worker would, and it adds one field, `shards`
+//! (a non-negative integer; 0 or absent means the configured default).
+//! `search_shard` is a worker phase and is refused. Errors use the same
+//! uniform shape ([`wire::error_response`]) and `result` the same reply
+//! ([`wire::result_reply`]).
 //! There is no `wait`: a blocking verb would stall every connection this
 //! one thread serves, so clients poll `status`. The job table keeps the
 //! newest 64 finished jobs; an older id answers `unknown_job`, and a
@@ -44,10 +49,10 @@ use std::time::{Duration, Instant};
 
 use coldboot_dumpio::json::{self, Json};
 use coldboot_dumpio::stats::snapshot_json;
+use coldboot_dumpio::wire::{self, error_response, JobKind};
 use coldboot_metrics::MetricsRegistry;
 
 use crate::backend::{Backend, BackendOptions};
-use crate::merge::{JobKind, JobSpec};
 
 /// Hard cap on one request line; longer input closes the connection.
 const MAX_LINE_BYTES: usize = 1 << 20;
@@ -97,32 +102,6 @@ impl ClusterConfig {
             self.workers.len().max(1)
         }
     }
-}
-
-/// Whether a cluster rejection with `code` can succeed on a later retry
-/// (or against another coordinator). Mirrors
-/// [`coldboot_dumpio::service::error_code_retryable`] and extends it with
-/// the front-end limit codes.
-#[must_use]
-pub fn cluster_code_retryable(code: &str) -> bool {
-    matches!(
-        code,
-        "rate_limited" | "quota_exceeded" | "queue_full" | "shutting_down"
-    )
-}
-
-/// The uniform error reply, with the cluster's retryable classification.
-fn fail(code: &str, message: &str) -> Json {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("status".to_string(), Json::Str("error".to_string())),
-        ("code".to_string(), Json::Str(code.to_string())),
-        (
-            "retryable".to_string(),
-            Json::Bool(cluster_code_retryable(code)),
-        ),
-        ("error".to_string(), Json::Str(message.to_string())),
-    ])
 }
 
 struct ServerShared {
@@ -382,7 +361,7 @@ fn pump(
         progress = true;
         let reply = if over_rate_limit(link, config) {
             backend.metrics().rate_limited_rejects.inc();
-            fail("rate_limited", "per-connection request rate exceeded")
+            error_response("rate_limited", "per-connection request rate exceeded")
         } else {
             respond(link, shared, backend, config)
         };
@@ -445,7 +424,7 @@ fn respond(
     config: &ClusterConfig,
 ) -> Json {
     let Some(request) = json::parse(&link.line) else {
-        return fail("malformed_request", "malformed JSON");
+        return error_response("malformed_request", "malformed JSON");
     };
     match request.get("verb").and_then(Json::as_str) {
         Some("ping") => Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))]),
@@ -453,14 +432,14 @@ fn respond(
         Some("status") => match request.get("id").and_then(Json::as_i64) {
             Some(id) if id >= 0 => backend
                 .status_json(id as u64)
-                .unwrap_or_else(|| fail("unknown_job", "no such job")),
-            _ => fail("bad_request", "status requires a job id"),
+                .unwrap_or_else(|| error_response("unknown_job", "no such job")),
+            _ => error_response("bad_request", "status requires a job id"),
         },
         Some("result") => match request.get("id").and_then(Json::as_i64) {
             Some(id) if id >= 0 => backend
                 .result_json(id as u64)
-                .unwrap_or_else(|| fail("unknown_job", "no such job")),
-            _ => fail("bad_request", "result requires a job id"),
+                .unwrap_or_else(|| error_response("unknown_job", "no such job")),
+            _ => error_response("bad_request", "result requires a job id"),
         },
         Some("stats") => Json::obj([
             ("ok", Json::Bool(true)),
@@ -470,8 +449,8 @@ fn respond(
             shared.draining.store(true, Ordering::Release);
             Json::obj([("ok", Json::Bool(true))])
         }
-        Some(_) => fail("unknown_verb", "unknown verb"),
-        None => fail("malformed_request", "missing verb"),
+        Some(_) => error_response("unknown_verb", "unknown verb"),
+        None => error_response("malformed_request", "missing verb"),
     }
 }
 
@@ -484,67 +463,31 @@ fn enroll(
     config: &ClusterConfig,
 ) -> Json {
     if shared.draining.load(Ordering::Acquire) {
-        return fail("shutting_down", "coordinator is draining");
+        return error_response("shutting_down", "coordinator is draining");
     }
     link.jobs.retain(|&id| !backend.is_terminal(id));
     if config.max_open_jobs > 0 && link.jobs.len() >= config.max_open_jobs {
         backend.metrics().quota_rejects.inc();
-        return fail("quota_exceeded", "per-connection open-job quota reached");
+        return error_response("quota_exceeded", "per-connection open-job quota reached");
     }
-    let Some(kind) = request
-        .get("kind")
-        .and_then(Json::as_str)
-        .and_then(JobKind::parse)
-    else {
-        return fail("bad_request", "kind must be attack|search|mine|frequency");
-    };
-    let Some(dump) = request.get("dump").and_then(Json::as_str) else {
-        return fail("bad_request", "submit requires a dump path");
-    };
-    let field = |name: &str| request.get(name).and_then(Json::as_i64).filter(|&v| v >= 0);
-    let mut spec = JobSpec::new(kind, dump);
-    spec.shards = field("shards")
-        .map(|v| v as usize)
-        .filter(|&v| v > 0)
-        .unwrap_or_else(|| config.default_shards());
-    if let Some(window) = field("window_blocks") {
-        spec.window_blocks = window as u64;
-    }
-    if let Some(top) = field("top_keys") {
-        spec.top_keys = top as u64;
-    }
-    if let Some(max) = field("max_bytes") {
-        spec.max_bytes = Some(max as u64);
-    }
-    if let Some(threads) = field("threads").filter(|&v| v > 0) {
-        spec.threads = threads as u64;
-    }
-    if let Some(deep) = request.get("deep").and_then(Json::as_bool) {
-        spec.deep = deep;
-    }
-    if let Some(ground) = request.get("ground").and_then(Json::as_str) {
-        spec.ground = Some(ground.to_string());
-        if let Some(d) = request.get("decay_fraction").and_then(Json::as_f64) {
-            if !(d.is_finite() && (0.0..=1.0).contains(&d)) {
-                return fail("bad_request", "decay_fraction must be a number in [0, 1]");
-            }
-            spec.decay_fraction = Some(d);
+    let spec = match wire::parse_spec(request) {
+        Ok(spec) if spec.kind == JobKind::SearchShard => {
+            return error_response("bad_request", "kind must be attack|search|mine|frequency")
         }
-        if let Some(budget) = field("work_budget") {
-            spec.work_budget = Some(budget as u64);
-        }
-    } else if request.get("decay_fraction").is_some() || request.get("work_budget").is_some() {
-        return fail(
-            "bad_request",
-            "decay_fraction and work_budget require a ground dump",
-        );
-    }
-    match backend.submit(spec) {
+        Ok(spec) => spec,
+        Err(reply) => return reply,
+    };
+    let shards = match wire::opt_u64(request, "shards") {
+        Ok(Some(n)) if n > 0 => usize::try_from(n).unwrap_or(usize::MAX),
+        Ok(_) => config.default_shards(),
+        Err(reply) => return reply,
+    };
+    match backend.submit(spec, shards) {
         Ok(id) => {
             link.jobs.push(id);
             Json::obj([("ok", Json::Bool(true)), ("id", Json::Int(id as i64))])
         }
-        Err(why) => fail("bad_request", &why),
+        Err(why) => error_response("bad_request", &why),
     }
 }
 
@@ -560,7 +503,7 @@ mod tests {
             "queue_full",
             "shutting_down",
         ] {
-            assert!(cluster_code_retryable(code), "{code}");
+            assert!(wire::error_code_retryable(code), "{code}");
         }
         for code in [
             "bad_request",
@@ -568,13 +511,13 @@ mod tests {
             "unknown_job",
             "malformed_request",
         ] {
-            assert!(!cluster_code_retryable(code), "{code}");
+            assert!(!wire::error_code_retryable(code), "{code}");
         }
     }
 
     #[test]
     fn error_replies_use_the_uniform_shape() {
-        let reply = fail("rate_limited", "slow down");
+        let reply = error_response("rate_limited", "slow down");
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(

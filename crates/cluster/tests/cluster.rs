@@ -72,6 +72,21 @@ fn dump_file(name: &str, seed: u64) -> PathBuf {
     path
 }
 
+/// Writes a 64 KiB random image as a CBDF file under the test target dir.
+fn random_dump_file(name: &str, seed: u64) -> PathBuf {
+    let mut image = vec![0u8; 64 << 10];
+    SplitMix64::new(seed).fill(&mut image);
+    let file = write_image(
+        Vec::new(),
+        DumpMeta::for_image(0, image.len() as u64),
+        &image,
+    )
+    .expect("encode");
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, file).expect("write dump file");
+    path
+}
+
 /// One persistent line-protocol connection (works against `dumpd` and
 /// `clusterd` alike — the verbs are the same).
 struct Client {
@@ -584,16 +599,7 @@ fn graceful_drain_finishes_in_flight_shards() {
 /// one open job — the forgotten job no longer holds its connection's slot.
 #[test]
 fn forgotten_jobs_answer_unknown_and_free_their_quota_slot() {
-    let mut image = vec![0u8; 64 << 10];
-    SplitMix64::new(5).fill(&mut image);
-    let file = write_image(
-        Vec::new(),
-        DumpMeta::for_image(0, image.len() as u64),
-        &image,
-    )
-    .expect("encode");
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cluster_evict.cbdf");
-    std::fs::write(&path, file).expect("write dump file");
+    let path = random_dump_file("cluster_evict.cbdf", 5);
     let worker = start_worker();
 
     let mut config = ClusterConfig::new(vec![worker.local_addr().to_string()]);
@@ -642,5 +648,46 @@ fn forgotten_jobs_answer_unknown_and_free_their_quota_slot() {
     // The owner's quota slot was held by the forgotten job only.
     let next = owner.submit_ok(frequency());
     assert_eq!(owner.wait_terminal(next), "done");
+    cluster.shutdown();
+}
+
+/// The coordinator reads submits with `dumpd`'s own parser, so both
+/// services answer the same lines alike: a line without a verb, and seven
+/// submits a worker refuses.
+#[test]
+fn both_services_answer_the_same_lines_alike() {
+    let path = random_dump_file("cluster_same_lines.cbdf", 7);
+    let worker = start_worker();
+    let mut config = ClusterConfig::new(vec![worker.local_addr().to_string()]);
+    config.backend = fast_backend();
+    let cluster = start_cluster(config);
+    let mut dumpd = Client::connect(worker.local_addr());
+    let mut clusterd = Client::connect(cluster.local_addr());
+
+    let dump = path_str(&path).render_compact();
+    let submit = |fields: &str| format!(r#"{{"verb":"submit","dump":{dump},{fields}}}"#);
+    let lines = [
+        "{}".to_string(),
+        submit(r#""kind":"mine","window_blocks":0"#),
+        submit(r#""kind":"mine","max_bytes":-4"#),
+        submit(r#""kind":"mine","threads":"two""#),
+        submit(r#""kind":"frequency","top_keys":-1"#),
+        submit(&format!(r#""kind":"mine","ground":{dump}"#)),
+        submit(&format!(r#""kind":"frequency","ground":{dump}"#)),
+        submit(&format!(
+            r#""kind":"attack","ground":{dump},"work_budget":-5"#
+        )),
+    ];
+    let verdict = |reply: &Json| {
+        (
+            reply.get("ok").and_then(Json::as_bool),
+            reply.get("code").and_then(Json::as_str).map(String::from),
+        )
+    };
+    for line in &lines {
+        let single = verdict(&dumpd.raw(line));
+        assert_eq!(single.0, Some(false), "dumpd accepted {line}");
+        assert_eq!(verdict(&clusterd.raw(line)), single, "{line}");
+    }
     cluster.shutdown();
 }

@@ -140,6 +140,18 @@ impl AttackReport {
     }
 }
 
+/// The bytes of an image of `total_bytes` that mining reads when asked
+/// for at most `max_bytes`: the limit clamped to the image, rounded up to
+/// a whole block, and clamped again. Every attack and mining pass, local,
+/// streamed or sharded, mines exactly this prefix.
+#[must_use]
+pub fn mining_limit(max_bytes: u64, total_bytes: u64) -> u64 {
+    max_bytes
+        .min(total_bytes)
+        .next_multiple_of(BLOCK_BYTES as u64)
+        .min(total_bytes)
+}
+
 /// Runs the paper's §III-C DDR4 cold boot attack on a captured dump:
 ///
 /// 1. mine candidate scrambler keys from a prefix of the image
@@ -149,11 +161,7 @@ impl AttackReport {
 /// 3. verify hits against neighbouring blocks and run the key expansion
 ///    recurrence backwards to the master keys.
 pub fn run_ddr4_attack(dump: &MemoryDump, config: &AttackConfig) -> AttackReport {
-    let mined_bytes = config
-        .mining_prefix_bytes
-        .min(dump.len())
-        .next_multiple_of(BLOCK_BYTES)
-        .min(dump.len());
+    let mined_bytes = mining_limit(config.mining_prefix_bytes as u64, dump.len() as u64) as usize;
     let prefix = dump.prefix(mined_bytes);
     let candidates = mine_candidate_keys(&prefix, &config.mining);
     let outcome = search_dump(dump, &candidates, &config.search);

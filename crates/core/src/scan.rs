@@ -21,11 +21,12 @@
 //! * **No work splits mid-batch.** A batch is the atomic unit of stealing;
 //!   per-item closures never observe concurrent mutation and need no locks.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coldboot_metrics::{Counter, MetricsRegistry};
+use coldboot_metrics::{duration_us, Counter, MetricsRegistry};
 
 /// Default number of items a worker claims per cursor increment.
 ///
@@ -79,10 +80,6 @@ impl EngineMetrics {
         self.busy_us.add(duration_us(stats.busy));
         self.idle_us.add(duration_us(idle));
     }
-}
-
-fn duration_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Per-worker tallies, summed after the join. Counting is unconditional
@@ -159,6 +156,79 @@ impl Default for ScanOptions {
     }
 }
 
+/// The engine's one loop. Below two threads, `body` runs once over every
+/// item on the caller's thread. Otherwise `threads` scoped workers each
+/// start from `init()`, claim batches off a shared cursor and run
+/// `body(&mut state, batch_index, batch_items)` on each, and the worker
+/// states come back in spawn order. Batches, items, busy and idle time
+/// are recorded when `opts` carries metrics.
+fn drive<S, I, B>(items: usize, opts: &ScanOptions, init: I, body: B) -> Vec<S>
+where
+    S: Send,
+    I: Fn() -> S + Sync,
+    B: Fn(&mut S, usize, Range<usize>) + Sync,
+{
+    let batch = opts.batch_items.max(1);
+    let n_batches = items.div_ceil(batch);
+    let threads = opts.threads.max(1).min(n_batches.max(1));
+    let metrics = opts.metrics.as_deref();
+    if threads <= 1 {
+        let started = metrics.map(|_| Instant::now());
+        let mut state = init();
+        body(&mut state, 0, 0..items);
+        if let Some((m, started)) = metrics.zip(started) {
+            let stats = WorkerStats {
+                batches: n_batches as u64,
+                items: items as u64,
+                busy: started.elapsed(),
+            };
+            m.record(stats, Duration::ZERO);
+        }
+        return vec![state];
+    }
+
+    let cursor = AtomicUsize::new(0);
+    let run_worker = || {
+        let mut state = init();
+        let mut stats = WorkerStats::default();
+        loop {
+            let b = cursor.fetch_add(1, Ordering::Relaxed);
+            if b >= n_batches {
+                break;
+            }
+            let start = b * batch;
+            let end = (start + batch).min(items);
+            let batch_started = metrics.map(|_| Instant::now());
+            body(&mut state, b, start..end);
+            stats.batches += 1;
+            stats.items += (end - start) as u64;
+            if let Some(batch_started) = batch_started {
+                stats.busy += batch_started.elapsed();
+            }
+        }
+        (state, stats)
+    };
+
+    let wall_started = metrics.map(|_| Instant::now());
+    let (states, stats): (Vec<S>, WorkerStats) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(|| run_worker())).collect();
+        let mut states = Vec::with_capacity(threads);
+        let mut stats = WorkerStats::default();
+        for h in handles {
+            // lint:allow(panic): join() errs only if a worker panicked; re-raise
+            let (state, worker_stats) = h.join().expect("scan worker panicked");
+            states.push(state);
+            stats = stats.merge(worker_stats);
+        }
+        (states, stats)
+    });
+    if let Some((m, wall_started)) = metrics.zip(wall_started) {
+        let idle = (wall_started.elapsed() * threads as u32).saturating_sub(stats.busy);
+        m.record(stats, idle);
+    }
+    states
+}
+
 /// Runs `emit(item_index, &mut out)` for every item in `0..items` and
 /// returns the concatenated output **in item order**, regardless of thread
 /// count.
@@ -172,74 +242,20 @@ where
     T: Send,
     F: Fn(usize, &mut Vec<T>) + Sync,
 {
-    let batch = opts.batch_items.max(1);
-    let n_batches = items.div_ceil(batch);
-    let threads = opts.threads.max(1).min(n_batches.max(1));
-    let metrics = opts.metrics.as_deref();
-    if threads <= 1 {
-        let started = metrics.map(|_| Instant::now());
-        let mut out = Vec::new();
-        for i in 0..items {
-            emit(i, &mut out);
+    let states = drive(items, opts, Vec::new, |tagged, b, batch_items| {
+        let mut buf = Vec::new();
+        for i in batch_items {
+            emit(i, &mut buf);
         }
-        if let Some((m, started)) = metrics.zip(started) {
-            let stats = WorkerStats {
-                batches: n_batches as u64,
-                items: items as u64,
-                busy: started.elapsed(),
-            };
-            m.record(stats, Duration::ZERO);
+        if !buf.is_empty() {
+            tagged.push((b, buf));
         }
-        return out;
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let run_worker = || {
-        let mut local: Vec<(usize, Vec<T>)> = Vec::new();
-        let mut stats = WorkerStats::default();
-        loop {
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= n_batches {
-                break;
-            }
-            let start = b * batch;
-            let end = (start + batch).min(items);
-            let batch_started = metrics.map(|_| Instant::now());
-            let mut buf = Vec::new();
-            for i in start..end {
-                emit(i, &mut buf);
-            }
-            stats.batches += 1;
-            stats.items += (end - start) as u64;
-            if let Some(batch_started) = batch_started {
-                stats.busy += batch_started.elapsed();
-            }
-            if !buf.is_empty() {
-                local.push((b, buf));
-            }
-        }
-        (local, stats)
-    };
-
-    let wall_started = metrics.map(|_| Instant::now());
-    let (mut tagged, stats): (Vec<(usize, Vec<T>)>, WorkerStats) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(|| run_worker())).collect();
-        let mut tagged = Vec::new();
-        let mut stats = WorkerStats::default();
-        for h in handles {
-            // lint:allow(panic): join() errs only if a worker panicked; re-raise
-            let (local, worker_stats) = h.join().expect("scan worker panicked");
-            tagged.extend(local);
-            stats = stats.merge(worker_stats);
-        }
-        (tagged, stats)
     });
-    if let Some((m, wall_started)) = metrics.zip(wall_started) {
-        let idle = (wall_started.elapsed() * threads as u32).saturating_sub(stats.busy);
-        m.record(stats, idle);
-    }
-
     // Deterministic merge: batch order == item order.
+    let mut tagged: Vec<(usize, Vec<T>)> = states.into_iter().flatten().collect();
+    if tagged.len() == 1 {
+        return tagged.pop().map(|(_, buf)| buf).unwrap_or_default();
+    }
     tagged.sort_unstable_by_key(|(b, _)| *b);
     let total = tagged.iter().map(|(_, buf)| buf.len()).sum();
     let mut out = Vec::with_capacity(total);
@@ -263,71 +279,13 @@ where
     F: Fn(&mut A, usize) + Sync,
     M: Fn(A, A) -> A,
 {
-    let batch = opts.batch_items.max(1);
-    let n_batches = items.div_ceil(batch);
-    let threads = opts.threads.max(1).min(n_batches.max(1));
-    let metrics = opts.metrics.as_deref();
-    if threads <= 1 {
-        let started = metrics.map(|_| Instant::now());
-        let mut acc = init();
-        for i in 0..items {
-            fold(&mut acc, i);
+    let states = drive(items, opts, init, |acc, _, batch_items| {
+        for i in batch_items {
+            fold(acc, i);
         }
-        if let Some((m, started)) = metrics.zip(started) {
-            let stats = WorkerStats {
-                batches: n_batches as u64,
-                items: items as u64,
-                busy: started.elapsed(),
-            };
-            m.record(stats, Duration::ZERO);
-        }
-        return acc;
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let run_worker = || {
-        let mut acc = init();
-        let mut stats = WorkerStats::default();
-        loop {
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= n_batches {
-                break;
-            }
-            let start = b * batch;
-            let end = (start + batch).min(items);
-            let batch_started = metrics.map(|_| Instant::now());
-            for i in start..end {
-                fold(&mut acc, i);
-            }
-            stats.batches += 1;
-            stats.items += (end - start) as u64;
-            if let Some(batch_started) = batch_started {
-                stats.busy += batch_started.elapsed();
-            }
-        }
-        (acc, stats)
-    };
-
-    let wall_started = metrics.map(|_| Instant::now());
-    let (accs, stats): (Vec<A>, WorkerStats) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(|| run_worker())).collect();
-        let mut accs = Vec::with_capacity(threads);
-        let mut stats = WorkerStats::default();
-        for h in handles {
-            // lint:allow(panic): join() errs only if a worker panicked; re-raise
-            let (acc, worker_stats) = h.join().expect("scan worker panicked");
-            accs.push(acc);
-            stats = stats.merge(worker_stats);
-        }
-        (accs, stats)
     });
-    if let Some((m, wall_started)) = metrics.zip(wall_started) {
-        let idle = (wall_started.elapsed() * threads as u32).saturating_sub(stats.busy);
-        m.record(stats, idle);
-    }
-
-    let mut accs = accs.into_iter();
-    // lint:allow(panic): threads >= 1, so at least one accumulator exists
+    let mut accs = states.into_iter();
+    // lint:allow(panic): the driver returns at least one worker state
     let first = accs.next().expect("at least one worker");
     accs.fold(first, merge)
 }

@@ -28,16 +28,17 @@ use std::io::{Read, Seek};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use coldboot::attack::ddr3::FrequencyCounter;
-use coldboot::attack::{AttackConfig, AttackReport};
+use coldboot::attack::{mining_limit, AttackConfig, AttackReport};
 use coldboot::dump::MemoryDump;
 use coldboot::keysearch::{
     merge_search_partials, SearchConfig, SearchPartial, StreamSearcher, SCHEDULE_CONTEXT_BLOCKS,
 };
 use coldboot::litmus::{CandidateKey, KeyMiner, MiningConfig};
 use coldboot_dram::BLOCK_BYTES;
+use coldboot_metrics::duration_us;
 
 use crate::error::DumpError;
 use crate::reader::DumpReader;
@@ -71,10 +72,6 @@ pub const TICK_BLOCKS: usize = 512;
 /// The effective read-window for a pass with `threads` workers.
 fn slice_blocks(window_blocks: usize, threads: usize) -> usize {
     window_blocks.min(threads.max(1) * TICK_BLOCKS).max(1)
-}
-
-fn duration_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// A streaming scan failure.
@@ -185,17 +182,6 @@ impl<'a> ScanControl<'a> {
         }
         Ok(())
     }
-}
-
-/// Normalizes a mining byte limit the way [`run_ddr4_attack`] does:
-/// clamped to the image, rounded up to a whole block, clamped again.
-///
-/// [`run_ddr4_attack`]: coldboot::attack::run_ddr4_attack
-fn mining_limit(max_bytes: u64, total_bytes: u64) -> u64 {
-    max_bytes
-        .min(total_bytes)
-        .next_multiple_of(BLOCK_BYTES as u64)
-        .min(total_bytes)
 }
 
 /// Scans image bytes `feed` (clamped by the caller to the image) window by

@@ -6,6 +6,7 @@ use std::time::Instant;
 
 use coldboot::dump::MemoryDump;
 use coldboot_dram::BLOCK_BYTES;
+use coldboot_metrics::duration_us;
 
 use crate::crc32::crc32;
 use crate::error::DumpError;
@@ -107,10 +108,9 @@ impl<R: Read> DumpReader<R> {
                 let result = self.read_chunk_inner(out);
                 match &result {
                     Ok(Some(encoding)) => {
-                        let elapsed = started.elapsed().as_micros();
                         metrics
                             .chunk_decode_us
-                            .observe(u64::try_from(elapsed).unwrap_or(u64::MAX));
+                            .observe(duration_us(started.elapsed()));
                         if *encoding == ENCODING_ZERO_RLE {
                             metrics.chunks_rle.inc();
                         } else {

@@ -9,13 +9,16 @@
 //! ## Wire protocol
 //!
 //! Line-delimited JSON over TCP; one request object per line, one
-//! response object per line, connections are persistent. Responses always
-//! carry `"ok"`; every failure uses one uniform shape:
+//! response object per line, connections are persistent. [`crate::wire`]
+//! writes and reads every document below, for this service and the
+//! cluster coordinator alike. Responses always carry `"ok"`; every
+//! failure uses one uniform shape:
 //! `{"ok":false,"status":"error","code":CODE,"retryable":BOOL,"error":MSG}`.
 //! Codes: `queue_full` and `shutting_down` are *retryable* (the same
 //! request can succeed later, or on another worker — cluster failover
 //! keys off this flag); `bad_request`, `unknown_verb`, `unknown_job`, and
-//! `malformed_request` are fatal.
+//! `malformed_request` (also the reply to a line without a `verb`) are
+//! fatal.
 //!
 //! | request | response |
 //! |---|---|
@@ -28,11 +31,18 @@
 //! | `{"verb":"stats"}` | `{"ok":true,"metrics":{...}}` |
 //! | `{"verb":"shutdown"}` | `{"ok":true}` |
 //!
-//! `submit` options: `window_blocks` (default 16384), `timeout_secs`,
-//! `threads` (default 1 — the pool provides the parallelism), `deep`
-//! (attack/mine: thorough search preset), `max_bytes` (attack/mine:
-//! mining prefix), `top_keys` (frequency: how many keys to report).
-//! `"search"` is accepted as an alias for `"attack"`. Job states:
+//! `submit` options, the one list of them: [`crate::wire::parse_spec`]
+//! reads them for this service and for the cluster coordinator, which
+//! adds only a `shards` count. `window_blocks` (positive, default 16384),
+//! `timeout_secs`, `threads` (default 1 — the pool provides the
+//! parallelism), `deep` (attack/`search_shard`: thorough search preset),
+//! `max_bytes` (attack/mine: mining prefix), `top_keys` (frequency: how
+//! many keys to report, default 48), `shard_start`/`shard_end` and
+//! `candidates` (shard jobs, below), and `ground` (attack/`search_shard`:
+//! a ground-state dump path that turns on channel-model reconstruction)
+//! with its `decay_fraction` (in `[0, 1]`) and `work_budget`. Integer
+//! options must be non-negative integers. `"search"` is accepted as an
+//! alias for `"attack"`. Job states:
 //! `queued`, `running`, `done`, `failed`, `cancelled`, `timed_out`.
 //! A job with a `timeout_secs` budget spends it from *submit* time: a job
 //! whose budget expires while still queued fails fast as `timed_out`
@@ -55,8 +65,9 @@
 //! `submit` additionally accepts `shard_start`/`shard_end` (global block
 //! indices, half-open). With a shard range, `mine` and `frequency` scan
 //! only that range and return *mergeable* partials instead of finished
-//! results (`crate::wire` shapes): the raw observation map / histogram
-//! the coordinator absorbs and finishes once. The `search_shard` kind
+//! results ([`crate::wire::ShardPartial`], framed with its `kind` and the
+//! range echo): the raw observation map / histogram the coordinator
+//! absorbs and finishes once. The `search_shard` kind
 //! takes a `candidates` array (the pass-through form
 //! [`crate::wire::candidates_to_json`] emits) and returns the shard's
 //! [`coldboot::keysearch::SearchPartial`] — hits, *pre-dedup* recoveries
@@ -78,22 +89,25 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use coldboot::attack::AttackConfig;
+use coldboot::attack::{mining_limit, AttackConfig};
 use coldboot::keysearch::SearchConfig;
-use coldboot::litmus::{CandidateKey, MiningConfig};
+use coldboot::litmus::MiningConfig;
 use coldboot::reconstruct::ReconstructConfig;
 use coldboot_dram::retention::{BitChannel, DecayModel};
 use coldboot_dram::BLOCK_BYTES;
+use coldboot_metrics::duration_us;
 
 use crate::error::DumpError;
 use crate::json::{self, Json};
 use crate::pipeline::{
     attack_file, attack_total_blocks, frequency_range, mine_range, search_range, PipelineError,
-    ScanControl, DEFAULT_WINDOW_BLOCKS,
+    ScanControl,
 };
 use crate::reader::DumpReader;
 use crate::stats::{snapshot_json, ServiceMetrics};
-use crate::wire::{self, hex_lower};
+use crate::wire::{
+    self, error_response, parse_spec, result_reply, JobKind, JobSpec, JobState, ShardPartial,
+};
 
 /// Longest accepted request line; longer input drops the connection.
 const MAX_LINE_BYTES: usize = 1 << 20;
@@ -122,69 +136,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_limit: 64,
         }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    Attack,
-    Mine,
-    Frequency,
-    /// One shard of a cluster search: scans a block range against a
-    /// passed-through candidate list and returns a mergeable partial.
-    SearchShard,
-}
-
-struct JobSpec {
-    kind: JobKind,
-    dump: String,
-    window_blocks: usize,
-    timeout_secs: Option<u64>,
-    threads: usize,
-    deep: bool,
-    max_bytes: Option<u64>,
-    top_keys: usize,
-    /// Global block range this job owns (cluster shard jobs). With a
-    /// range, `mine`/`frequency` return mergeable partials instead of
-    /// finished results; `search_shard` requires one.
-    shard: Option<std::ops::Range<u64>>,
-    /// Pass-through scrambler candidates for `search_shard`.
-    candidates: Vec<CandidateKey>,
-    /// Ground-state dump path; enables channel-model reconstruction for
-    /// `attack`/`search_shard` jobs when present.
-    ground: Option<String>,
-    /// Explicit charged-bit decay fraction. Without it, a reconstruction
-    /// job derives the channel from the dump's capture metadata
-    /// (temperature + transfer time) via the paper-calibrated model.
-    decay_fraction: Option<f64>,
-    /// Branch-and-bound work budget override (popped nodes per span).
-    work_budget: Option<u64>,
-}
-
-enum JobState {
-    Queued,
-    Running,
-    /// Finished, with the result document rendered compact once.
-    Done(Arc<str>),
-    Failed(String),
-    Cancelled,
-    TimedOut,
-}
-
-impl JobState {
-    fn is_terminal(&self) -> bool {
-        !matches!(self, JobState::Queued | JobState::Running)
-    }
-}
-
-fn state_name(state: &JobState) -> &'static str {
-    match state {
-        JobState::Queued => "queued",
-        JobState::Running => "running",
-        JobState::Done(_) => "done",
-        JobState::Failed(_) => "failed",
-        JobState::Cancelled => "cancelled",
-        JobState::TimedOut => "timed_out",
     }
 }
 
@@ -428,28 +379,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Whether a request rejected with `code` can succeed verbatim later (or
-/// on another worker). Cluster failover re-queues shards on retryable
-/// rejections and fails them on fatal ones, so the split matters.
-pub fn error_code_retryable(code: &str) -> bool {
-    matches!(code, "queue_full" | "shutting_down")
-}
-
-/// The uniform error reply: every rejection, whatever the verb, renders
-/// as `{"ok":false,"status":"error","code":...,"retryable":...,"error":...}`.
-fn error_response(code: &str, message: &str) -> Json {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("status".to_string(), Json::Str("error".to_string())),
-        ("code".to_string(), Json::Str(code.to_string())),
-        (
-            "retryable".to_string(),
-            Json::Bool(error_code_retryable(code)),
-        ),
-        ("error".to_string(), Json::Str(message.to_string())),
-    ])
-}
-
 fn dispatch(line: &str, shared: &Arc<Shared>) -> Json {
     let Some(request) = json::parse(line) else {
         return error_response("malformed_request", "malformed JSON");
@@ -462,7 +391,7 @@ fn dispatch(line: &str, shared: &Arc<Shared>) -> Json {
             Err(e) => e,
         },
         Some("result") => match find_job(&request, shared) {
-            Ok(job) => result_reply(&job, &lock(&job.state)),
+            Ok(job) => result_reply(job.id, &lock(&job.state)),
             Err(e) => e,
         },
         Some("wait") => wait(&request, shared).unwrap_or_else(|e| e),
@@ -479,137 +408,9 @@ fn dispatch(line: &str, shared: &Arc<Shared>) -> Json {
             shared.available.notify_all();
             Json::obj([("ok", Json::Bool(true))])
         }
-        _ => error_response("unknown_verb", "unknown verb"),
+        Some(_) => error_response("unknown_verb", "unknown verb"),
+        None => error_response("malformed_request", "missing verb"),
     }
-}
-
-/// Reads an optional non-negative integer field.
-fn opt_u64(request: &Json, name: &str) -> Result<Option<u64>, Json> {
-    match request.get(name) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => match v.as_i64() {
-            Some(i) if i >= 0 => Ok(Some(i as u64)),
-            _ => {
-                let mut message = String::from(name);
-                message.push_str(" must be a non-negative integer");
-                Err(error_response("bad_request", &message))
-            }
-        },
-    }
-}
-
-fn parse_spec(request: &Json) -> Result<JobSpec, Json> {
-    let kind = match request.get("kind").and_then(Json::as_str) {
-        Some("attack" | "search") => JobKind::Attack,
-        Some("mine") => JobKind::Mine,
-        Some("frequency") => JobKind::Frequency,
-        Some("search_shard") => JobKind::SearchShard,
-        _ => {
-            return Err(error_response(
-                "bad_request",
-                "kind must be attack, mine, frequency, or search_shard",
-            ))
-        }
-    };
-    let Some(dump) = request.get("dump").and_then(Json::as_str) else {
-        return Err(error_response("bad_request", "missing dump path"));
-    };
-    let window_blocks = match opt_u64(request, "window_blocks")? {
-        Some(0) => {
-            return Err(error_response(
-                "bad_request",
-                "window_blocks must be positive",
-            ))
-        }
-        Some(n) => n as usize,
-        None => DEFAULT_WINDOW_BLOCKS,
-    };
-    let shard = match (
-        opt_u64(request, "shard_start")?,
-        opt_u64(request, "shard_end")?,
-    ) {
-        (None, None) => None,
-        (Some(start), Some(end)) if start <= end => Some(start..end),
-        (Some(_), Some(_)) => {
-            return Err(error_response(
-                "bad_request",
-                "shard_start must not exceed shard_end",
-            ))
-        }
-        _ => {
-            return Err(error_response(
-                "bad_request",
-                "shard_start and shard_end must be given together",
-            ))
-        }
-    };
-    if kind == JobKind::SearchShard && shard.is_none() {
-        return Err(error_response(
-            "bad_request",
-            "search_shard requires shard_start and shard_end",
-        ));
-    }
-    if kind == JobKind::Attack && shard.is_some() {
-        return Err(error_response(
-            "bad_request",
-            "attack does not shard; submit mine and search_shard phases instead",
-        ));
-    }
-    let candidates = match request.get("candidates") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(value) => match wire::candidates_from_json(value) {
-            Some(candidates) => candidates,
-            None => {
-                return Err(error_response(
-                    "bad_request",
-                    "candidates must be an array of {key_hex, observations}",
-                ))
-            }
-        },
-    };
-    let ground = request
-        .get("ground")
-        .and_then(Json::as_str)
-        .map(String::from);
-    let decay_fraction = match request.get("decay_fraction") {
-        None | Some(Json::Null) => None,
-        Some(v) => match v.as_f64() {
-            Some(d) if d.is_finite() && (0.0..=1.0).contains(&d) => Some(d),
-            _ => {
-                return Err(error_response(
-                    "bad_request",
-                    "decay_fraction must be a number in [0, 1]",
-                ))
-            }
-        },
-    };
-    if ground.is_none() && (decay_fraction.is_some() || request.get("work_budget").is_some()) {
-        return Err(error_response(
-            "bad_request",
-            "decay_fraction and work_budget require a ground dump",
-        ));
-    }
-    if ground.is_some() && !matches!(kind, JobKind::Attack | JobKind::SearchShard) {
-        return Err(error_response(
-            "bad_request",
-            "ground applies only to attack and search_shard jobs",
-        ));
-    }
-    Ok(JobSpec {
-        kind,
-        dump: dump.to_string(),
-        window_blocks,
-        timeout_secs: opt_u64(request, "timeout_secs")?,
-        threads: opt_u64(request, "threads")?.map_or(1, |t| (t as usize).max(1)),
-        deep: request.get("deep").and_then(Json::as_bool).unwrap_or(false),
-        max_bytes: opt_u64(request, "max_bytes")?,
-        top_keys: opt_u64(request, "top_keys")?.map_or(48, |n| n as usize),
-        shard,
-        candidates,
-        ground,
-        decay_fraction,
-        work_budget: opt_u64(request, "work_budget")?,
-    })
 }
 
 fn submit(request: &Json, shared: &Arc<Shared>) -> Json {
@@ -650,7 +451,7 @@ fn submit(request: &Json, shared: &Arc<Shared>) -> Json {
 }
 
 fn find_job(request: &Json, shared: &Arc<Shared>) -> Result<Arc<Job>, Json> {
-    let id = match opt_u64(request, "id")? {
+    let id = match wire::opt_u64(request, "id")? {
         Some(id) => id,
         None => return Err(error_response("bad_request", "missing job id")),
     };
@@ -664,7 +465,7 @@ fn find_job(request: &Json, shared: &Arc<Shared>) -> Result<Arc<Job>, Json> {
 /// passes, then replies as `result` would. Only the job's own lock is
 /// involved, and the condvar releases it while waiting.
 fn wait(request: &Json, shared: &Arc<Shared>) -> Result<Json, Json> {
-    let timeout = match opt_u64(request, "timeout_ms")? {
+    let timeout = match wire::opt_u64(request, "timeout_ms")? {
         Some(ms) if ms <= MAX_WAIT_MS => Duration::from_millis(ms),
         _ => {
             return Err(error_response(
@@ -679,7 +480,7 @@ fn wait(request: &Json, shared: &Arc<Shared>) -> Result<Json, Json> {
         .wait_timeout_while(lock(&job.state), timeout, |state| !state.is_terminal())
         .unwrap_or_else(|poisoned| poisoned.into_inner())
         .0;
-    Ok(result_reply(&job, &state))
+    Ok(result_reply(job.id, &state))
 }
 
 fn job_status(job: &Job) -> Json {
@@ -687,10 +488,7 @@ fn job_status(job: &Job) -> Json {
     let mut pairs = vec![
         ("ok".to_string(), Json::Bool(true)),
         ("id".to_string(), Json::Int(job.id as i64)),
-        (
-            "state".to_string(),
-            Json::Str(state_name(&state).to_string()),
-        ),
+        ("state".to_string(), Json::Str(state.name().to_string())),
         (
             "blocks_done".to_string(),
             Json::Int(job.blocks_done.load(Ordering::Relaxed) as i64),
@@ -701,28 +499,6 @@ fn job_status(job: &Job) -> Json {
         ),
     ];
     if let JobState::Failed(why) = &*state {
-        pairs.push(("error".to_string(), Json::Str(why.clone())));
-    }
-    Json::Obj(pairs)
-}
-
-/// The `result` reply for `job` in `state`: the finished job's rendered
-/// document is spliced in, never re-rendered.
-fn result_reply(job: &Job, state: &JobState) -> Json {
-    let result = match state {
-        JobState::Done(rendered) => Json::Raw(Arc::clone(rendered)),
-        _ => Json::Null,
-    };
-    let mut pairs = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("id".to_string(), Json::Int(job.id as i64)),
-        (
-            "state".to_string(),
-            Json::Str(state_name(state).to_string()),
-        ),
-        ("result".to_string(), result),
-    ];
-    if let JobState::Failed(why) = state {
         pairs.push(("error".to_string(), Json::Str(why.clone())));
     }
     Json::Obj(pairs)
@@ -835,10 +611,6 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn duration_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
 /// Builds the channel-reconstruction config for a job that asked for it:
 /// loads the ground-state dump and prices the channel from the explicit
 /// `decay_fraction` override or, failing that, the dump's own capture
@@ -864,22 +636,6 @@ fn reconstruct_config(
         rc.work_budget = u32::try_from(budget).unwrap_or(u32::MAX);
     }
     Ok(Some(rc))
-}
-
-fn candidates_json(kind: &'static str, candidates: &[CandidateKey]) -> Json {
-    let rows = candidates
-        .iter()
-        .map(|c| {
-            Json::obj([
-                ("key_hex", Json::Str(hex_lower(&c.key))),
-                ("observations", Json::Int(i64::from(c.observations))),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("kind", Json::Str(kind.to_string())),
-        ("keys", Json::Arr(rows)),
-    ])
 }
 
 fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
@@ -910,12 +666,6 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
     // the image.
     let range_blocks =
         |range: &std::ops::Range<u64>| range.end.min(total_blocks) - range.start.min(total_blocks);
-    let shard_fields = |shard: &std::ops::Range<u64>| {
-        [
-            ("shard_start".to_string(), Json::Int(shard.start as i64)),
-            ("shard_end".to_string(), Json::Int(shard.end as i64)),
-        ]
-    };
     match spec.kind {
         JobKind::Attack => {
             let search = if spec.deep {
@@ -937,84 +687,38 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
             job.blocks_total
                 .store(attack_total_blocks(total_bytes, &config), Ordering::Relaxed);
             let report = attack_file(&mut reader, &config, spec.window_blocks, &ctrl)?;
-            let recovered = report
-                .outcome
-                .recovered
-                .iter()
-                .map(|r| {
-                    let mut fields = vec![
-                        ("key_bits", Json::Int((r.master_key.len() * 8) as i64)),
-                        ("master_hex", Json::Str(hex_lower(&r.master_key))),
-                        ("schedule_addr", Json::Int(r.schedule_addr as i64)),
-                        ("total_error_bits", Json::Int(i64::from(r.total_error_bits))),
-                        (
-                            "unexplained_blocks",
-                            Json::Int(i64::from(r.unexplained_blocks)),
-                        ),
-                    ];
-                    if let Some(cost) = r.cost_millinats {
-                        fields.push((
-                            "cost_mnat",
-                            Json::Int(i64::try_from(cost).unwrap_or(i64::MAX)),
-                        ));
-                    }
-                    if let Some(flips) = r.flips {
-                        fields.push(("to_ground_bits", Json::Int(i64::from(flips.to_ground))));
-                        fields.push(("anti_ground_bits", Json::Int(i64::from(flips.anti_ground))));
-                    }
-                    Json::obj(fields)
-                })
-                .collect();
-            Ok(Json::obj([
-                ("kind", Json::Str("attack".to_string())),
-                ("mined_bytes", Json::Int(report.mined_bytes as i64)),
-                ("candidates", Json::Int(report.candidates.len() as i64)),
-                ("hits", Json::Int(report.outcome.hits.len() as i64)),
-                (
-                    "blocks_scanned",
-                    Json::Int(report.outcome.blocks_scanned as i64),
-                ),
-                ("recovered", Json::Arr(recovered)),
-            ]))
+            Ok(wire::attack_to_json(&report))
         }
         JobKind::Mine => {
             // A shard job mines its range and exports mergeable
             // observations; a whole-image job mines the `max_bytes` prefix
             // and finishes.
             let range = spec.shard.clone().unwrap_or_else(|| {
-                0..spec
-                    .max_bytes
-                    .map_or(total_blocks, |m| m.min(total_bytes).div_ceil(64))
+                let prefix = mining_limit(spec.max_bytes.unwrap_or(total_bytes), total_bytes);
+                0..prefix / BLOCK_BYTES as u64
             });
             job.blocks_total
                 .store(range_blocks(&range), Ordering::Relaxed);
             let miner = mine_range(&mut reader, &mining, spec.window_blocks, &range, &ctrl)?;
-            if spec.shard.is_none() {
-                return Ok(candidates_json("mine", &miner.finish()));
-            }
-            let mut pairs = vec![("kind".to_string(), Json::Str("mine_shard".to_string()))];
-            pairs.extend(shard_fields(&range));
-            pairs.push((
-                "observations".to_string(),
-                wire::observations_to_json(&miner.into_observations()),
-            ));
-            Ok(Json::Obj(pairs))
+            Ok(match &spec.shard {
+                None => wire::keys_to_json(JobKind::Mine, &miner.finish()),
+                Some(shard) => {
+                    wire::shard_reply_to_json(shard, &ShardPartial::Mine(miner.into_observations()))
+                }
+            })
         }
         JobKind::Frequency => {
             let range = spec.shard.clone().unwrap_or(0..total_blocks);
             job.blocks_total
                 .store(range_blocks(&range), Ordering::Relaxed);
             let counter = frequency_range(&mut reader, spec.window_blocks, &range, &ctrl)?;
-            if spec.shard.is_none() {
-                return Ok(candidates_json("frequency", &counter.finish(spec.top_keys)));
-            }
-            let mut pairs = vec![("kind".to_string(), Json::Str("frequency_shard".to_string()))];
-            pairs.extend(shard_fields(&range));
-            pairs.push((
-                "counts".to_string(),
-                wire::counts_to_json(&counter.into_counts()),
-            ));
-            Ok(Json::Obj(pairs))
+            Ok(match &spec.shard {
+                None => wire::keys_to_json(JobKind::Frequency, &counter.finish(spec.top_keys)),
+                Some(shard) => wire::shard_reply_to_json(
+                    shard,
+                    &ShardPartial::Frequency(counter.into_counts()),
+                ),
+            })
         }
         JobKind::SearchShard => {
             // parse_spec guarantees the range is present.
@@ -1039,12 +743,10 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
                 &shard,
                 &ctrl,
             )?;
-            let mut pairs = vec![("kind".to_string(), Json::Str("search_shard".to_string()))];
-            pairs.extend(shard_fields(&shard));
-            if let Json::Obj(partial_pairs) = wire::search_partial_to_json(&partial) {
-                pairs.extend(partial_pairs);
-            }
-            Ok(Json::Obj(pairs))
+            Ok(wire::shard_reply_to_json(
+                &shard,
+                &ShardPartial::Search(partial),
+            ))
         }
     }
 }
@@ -1052,9 +754,11 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::DEFAULT_WINDOW_BLOCKS;
 
     #[test]
     fn hex_rendering() {
+        use crate::wire::hex_lower;
         assert_eq!(hex_lower(&[]), "");
         assert_eq!(hex_lower(&[0x00, 0xAB, 0xFF, 0x1e]), "00abff1e");
     }
@@ -1166,8 +870,8 @@ mod tests {
 
     #[test]
     fn state_names() {
-        assert_eq!(state_name(&JobState::Queued), "queued");
-        assert_eq!(state_name(&JobState::Failed("x".into())), "failed");
-        assert_eq!(state_name(&JobState::TimedOut), "timed_out");
+        assert_eq!(JobState::Queued.name(), "queued");
+        assert_eq!(JobState::Failed("x".into()).name(), "failed");
+        assert_eq!(JobState::TimedOut.name(), "timed_out");
     }
 }

@@ -20,6 +20,7 @@ use coldboot_dram::retention::DecayModel;
 use coldboot_dumpio::format::DumpMeta;
 use coldboot_dumpio::json::{self, Json};
 use coldboot_dumpio::service::{DumpService, ServiceConfig};
+use coldboot_dumpio::wire::hex_lower;
 use coldboot_dumpio::writer::write_image;
 use coldboot_scrambler::controller::{BiosConfig, Machine};
 use coldboot_veracrypt::{MountedVolume, Volume};
@@ -182,14 +183,6 @@ impl ObjId for Json {
 fn start_service(config: ServiceConfig) -> DumpService {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
     DumpService::start(listener, config).expect("start service")
-}
-
-fn hex_lower(bytes: &[u8]) -> String {
-    bytes.iter().fold(String::new(), |mut s, b| {
-        s.push(char::from_digit(u32::from(b >> 4), 16).expect("hex digit"));
-        s.push(char::from_digit(u32::from(b & 0xF), 16).expect("hex digit"));
-        s
-    })
 }
 
 #[test]
@@ -412,6 +405,8 @@ fn cancel_queue_bounds_and_errors_without_workers() {
     assert_eq!(code_of(&garbage), "malformed_request");
     let bad_verb = client.raw(r#"{"verb":"launder"}"#);
     assert_eq!(code_of(&bad_verb), "unknown_verb");
+    let no_verb = client.raw("{}");
+    assert_eq!(code_of(&no_verb), "malformed_request");
     let missing_file = client.raw(r#"{"verb":"submit","kind":"mine"}"#);
     assert_eq!(code_of(&missing_file), "bad_request");
     let lone_shard = client.raw(&format!(
@@ -426,7 +421,7 @@ fn cancel_queue_bounds_and_errors_without_workers() {
         r#"{{"verb":"submit","kind":"attack","dump":"{dump_arg}","shard_start":0,"shard_end":8}}"#
     ));
     assert_eq!(code_of(&sharded_attack), "bad_request");
-    for fatal in [&unknown, &garbage, &bad_verb, &missing_file] {
+    for fatal in [&unknown, &garbage, &bad_verb, &no_verb, &missing_file] {
         assert_eq!(
             fatal.get("retryable").and_then(Json::as_bool),
             Some(false),

@@ -29,7 +29,15 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// `d` in whole microseconds, saturating — the unit of every `*_us`
+/// counter and histogram.
+#[inline]
+#[must_use]
+pub fn duration_us(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -197,8 +205,7 @@ impl<'a> Span<'a> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some((hist, started)) = self.target.take() {
-            let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            hist.observe(us);
+            hist.observe(duration_us(started.elapsed()));
         }
     }
 }

@@ -21,7 +21,10 @@
 //! `dumpd`'s own parser ([`wire::parse_spec`]), so the coordinator
 //! refuses every submit a worker would, and it adds one field, `shards`
 //! (a non-negative integer; 0 or absent means the configured default).
-//! `search_shard` is a worker phase and is refused. Errors use the same
+//! `search_shard` is a worker phase and is refused. A client's
+//! `timeout_secs`, `shard_start`/`shard_end` and `candidates` are checked
+//! as a worker checks them and then unused: the coordinator plans its
+//! own shards and forwards no deadline. Errors use the same
 //! uniform shape ([`wire::error_response`]) and `result` the same reply
 //! ([`wire::result_reply`]).
 //! There is no `wait`: a blocking verb would stall every connection this

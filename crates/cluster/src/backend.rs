@@ -5,7 +5,12 @@
 //! from a shared ready queue and drives the blocking line-protocol
 //! exchange with its `dumpd`: submit the shard, block on `wait` until the
 //! worker's job is terminal (the reply carries the result), and hand the
-//! partial to the job's [`Assembly`]. Nothing polls: each `wait` asks for
+//! partial to the job's [`Assembly`]. The runner decodes that reply line
+//! in one pass, envelope and partial together, straight into a typed
+//! [`ShardPartial`] ([`wire::read_result_reply`], with the reply's kind
+//! and range echo checked), before it takes the scheduler lock: the lock
+//! covers only the absorb and, for a phase's last shard, its fold. Nothing
+//! polls: each `wait` asks for
 //! half of [`BackendOptions::io_timeout`], so a long but healthy shard
 //! answers `running` before the socket read could time out. The
 //! connection persists across tasks and reconnects on error.
@@ -52,7 +57,9 @@ use std::time::{Duration, Instant};
 
 use coldboot_dumpio::json::{self, Json};
 use coldboot_dumpio::service::{JobTable, MAX_WAIT_MS};
-use coldboot_dumpio::wire::{result_reply, JobSpec, JobState};
+use coldboot_dumpio::wire::{
+    self, result_reply, JobKind, JobSpec, JobState, ResultReply, ShardPartial,
+};
 use coldboot_dumpio::DumpReader;
 use coldboot_metrics::duration_us;
 
@@ -95,6 +102,8 @@ struct Entry {
 struct Task {
     job: u64,
     shard: Range<u64>,
+    /// The shard job's kind, which the worker's reply must name.
+    kind: JobKind,
     attempts: u32,
     ready_at: Instant,
     /// The rendered `submit` line, newline included — built once so
@@ -193,12 +202,9 @@ impl Backend {
                 None
             }
             // An empty image: the plan is already the result.
-            Step::Done(result) => finish_job(
-                &mut state,
-                metrics,
-                id,
-                JobState::Done(result.render_compact().into()),
-            ),
+            Step::Done(result) => {
+                finish_job(&mut state, metrics, id, JobState::Done(result.into()))
+            }
             Step::Wait => None,
         };
         drop(state);
@@ -307,6 +313,7 @@ fn enqueue(
         state.pending.push_back(Task {
             job,
             shard: request.shard,
+            kind: request.kind,
             attempts: 0,
             ready_at: now,
             line,
@@ -354,6 +361,8 @@ fn fail_job(shared: &Shared, job: u64, why: String) {
 struct Wire {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The last reply line, reused: a shard reply can be megabytes.
+    reply: String,
 }
 
 impl Wire {
@@ -367,27 +376,35 @@ impl Wire {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            reply: String::new(),
         })
     }
 
-    /// One request/reply exchange. Any error invalidates the connection.
-    fn roundtrip(&mut self, line: &str) -> Result<Json, String> {
+    /// One request/reply exchange, returning the reply line. Any error
+    /// invalidates the connection.
+    fn roundtrip(&mut self, line: &str) -> Result<&str, String> {
         self.writer
             .write_all(line.as_bytes())
             .map_err(|e| format!("send: {e}"))?;
-        let mut reply = String::new();
-        match self.reader.read_line(&mut reply) {
+        self.reply.clear();
+        match self.reader.read_line(&mut self.reply) {
             Ok(0) => Err("worker closed the connection".to_string()),
-            Ok(_) => json::parse(reply.trim_end()).ok_or_else(|| "unparseable reply".to_string()),
+            Ok(_) => Ok(self.reply.trim_end()),
             Err(e) => Err(format!("recv: {e}")),
         }
+    }
+
+    /// A control exchange (`submit`, `ping`), its small reply parsed into
+    /// a tree.
+    fn request(&mut self, line: &str) -> Result<Json, String> {
+        json::parse(self.roundtrip(line)?).ok_or_else(|| "unparseable reply".to_string())
     }
 }
 
 /// How one shard attempt ended.
 enum Outcome {
-    /// The worker produced this `result` body.
-    Delivered(Json),
+    /// The worker produced this partial.
+    Delivered(ShardPartial),
     /// Transient: re-queue the shard (connection trouble, worker overload,
     /// worker-side cancellation/timeout, or coordinator shutdown).
     Retry(String),
@@ -427,10 +444,10 @@ fn run_worker_loop(shared: &Arc<Shared>, addr: &str) {
         let started = Instant::now();
         let outcome = run_shard(&mut wire, addr, &task, shared);
         match outcome {
-            Outcome::Delivered(body) => {
+            Outcome::Delivered(partial) => {
                 consecutive = 0;
                 metrics.shard_run_us.observe(duration_us(started.elapsed()));
-                deliver(shared, &task, &body);
+                deliver(shared, &task, partial);
             }
             Outcome::Retry(why) => {
                 wire = None; // reconnect on the next attempt
@@ -532,12 +549,16 @@ fn run_shard(wire: &mut Option<Wire>, addr: &str, task: &Task, shared: &Arc<Shar
     let Some(conn) = wire.as_mut() else {
         return Outcome::Retry("no worker connection".to_string());
     };
-    let reply = match conn.roundtrip(&task.line) {
+    let reply = match conn.request(&task.line) {
         Ok(reply) => reply,
         Err(why) => return Outcome::Retry(why),
     };
     if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-        return reject_outcome(&reply);
+        return reject_outcome(
+            reply.get("code").and_then(Json::as_str),
+            reply.get("error").and_then(Json::as_str),
+            reply.get("retryable").and_then(Json::as_bool),
+        );
     }
     let Some(id) = reply.get("id").and_then(Json::as_i64) else {
         return Outcome::Retry("submit reply carried no job id".to_string());
@@ -550,41 +571,47 @@ fn run_shard(wire: &mut Option<Wire>, addr: &str, task: &Task, shared: &Arc<Shar
         if shared.stop.load(Ordering::Acquire) {
             return Outcome::Retry("coordinator shutting down".to_string());
         }
-        match conn.roundtrip(&wait_line) {
-            Ok(reply) => {
-                if let Some(outcome) = wait_outcome(reply, addr) {
-                    return outcome;
-                }
-            }
+        let reply = match conn.roundtrip(&wait_line) {
+            Ok(line) => wire::read_result_reply(line, task.kind, &task.shard),
             Err(why) => return Outcome::Retry(why),
+        };
+        let Some(reply) = reply else {
+            return Outcome::Retry("unparseable reply".to_string());
+        };
+        if let Some(outcome) = wait_outcome(reply, addr) {
+            return outcome;
         }
     }
 }
 
 /// Classifies a worker's `wait` reply for the runner's own shard: `None`
 /// while the worker's job is still queued or running.
-fn wait_outcome(reply: Json, addr: &str) -> Option<Outcome> {
-    if reply.get("ok").and_then(Json::as_bool) != Some(true) {
+fn wait_outcome(reply: ResultReply<'_>, addr: &str) -> Option<Outcome> {
+    if reply.ok != Some(true) {
         // The worker no longer holds the shard's job: it forgot the
         // finished job or restarted. That is no verdict on the data.
-        if reply.get("code").and_then(Json::as_str) == Some("unknown_job") {
+        if reply.code.as_deref() == Some("unknown_job") {
             return Some(Outcome::Retry(format!(
                 "worker {addr} no longer holds the shard's job"
             )));
         }
-        return Some(reject_outcome(&reply));
+        return Some(reject_outcome(
+            reply.code.as_deref(),
+            reply.error.as_deref(),
+            reply.retryable,
+        ));
     }
-    let outcome = match reply.get("state").and_then(Json::as_str) {
+    let outcome = match reply.state.as_deref() {
         Some("queued" | "running") => return None,
-        Some("done") => match take_result(reply) {
-            Some(body) => Outcome::Delivered(body),
+        Some("done") => match reply.result {
+            Some(Ok(partial)) => Outcome::Delivered(partial),
+            // A reply of another kind or range, or a malformed partial:
+            // the worker broke the merge protocol.
+            Some(Err(why)) => Outcome::Fatal(format!("merge: {why}")),
             None => Outcome::Retry("done job returned no result body".to_string()),
         },
         Some("failed") => {
-            let why = reply
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("worker reported failure");
+            let why = reply.error.as_deref().unwrap_or("worker reported failure");
             Outcome::Fatal(format!("worker {addr}: {why}"))
         }
         // A worker-side timeout or cancellation is not a verdict on the
@@ -595,27 +622,13 @@ fn wait_outcome(reply: Json, addr: &str) -> Option<Outcome> {
     Some(outcome)
 }
 
-/// Moves a reply's non-null `result` body out, without copying it.
-fn take_result(reply: Json) -> Option<Json> {
-    let Json::Obj(pairs) = reply else {
-        return None;
-    };
-    pairs
-        .into_iter()
-        .find(|(name, _)| name == "result")
-        .map(|(_, body)| body)
-        .filter(|body| *body != Json::Null)
-}
-
-/// Classifies a worker's error reply via the uniform error schema.
-fn reject_outcome(reply: &Json) -> Outcome {
-    let code = reply.get("code").and_then(Json::as_str).unwrap_or("error");
-    let message = reply
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap_or("worker rejected the shard");
+/// Classifies a worker's error reply via the uniform error schema: its
+/// `code`, `error` and `retryable` fields.
+fn reject_outcome(code: Option<&str>, message: Option<&str>, retryable: Option<bool>) -> Outcome {
+    let code = code.unwrap_or("error");
+    let message = message.unwrap_or("worker rejected the shard");
     let why = format!("{code}: {message}");
-    if reply.get("retryable").and_then(Json::as_bool) == Some(true) {
+    if retryable == Some(true) {
         Outcome::Retry(why)
     } else {
         Outcome::Fatal(why)
@@ -623,12 +636,14 @@ fn reject_outcome(reply: &Json) -> Outcome {
 }
 
 /// Hands a delivered partial to the job's assembly and acts on the step.
-fn deliver(shared: &Arc<Shared>, task: &Task, body: &Json) {
+fn deliver(shared: &Arc<Shared>, task: &Task, partial: ShardPartial) {
     let metrics = &shared.metrics;
     let mut state = lock(&shared.state);
     let merge_started = Instant::now();
     let step = match state.jobs.get_mut(task.job) {
-        Some(entry) if entry.state == JobState::Running => entry.assembly.accept(&task.shard, body),
+        Some(entry) if entry.state == JobState::Running => {
+            entry.assembly.accept(&task.shard, partial)
+        }
         _ => return, // job failed while this shard was in flight
     };
     metrics
@@ -642,11 +657,11 @@ fn deliver(shared: &Arc<Shared>, task: &Task, body: &Json) {
             shared.ready.notify_all();
         }
         Ok(Step::Done(result)) => {
-            // Rendered once, off the scheduler lock: every `result` reply
-            // splices this string. Every shard of the job has been
-            // delivered, so nothing else moves the job meanwhile.
+            // Shared off the scheduler lock: every `result` reply splices
+            // this string. Every shard of the job has been delivered, so
+            // nothing else moves the job meanwhile.
             drop(state);
-            let rendered = JobState::Done(result.render_compact().into());
+            let rendered = JobState::Done(result.into());
             let forgotten = finish_job(&mut lock(&shared.state), metrics, task.job, rendered);
             drop(forgotten);
         }
@@ -690,7 +705,7 @@ fn requeue(shared: &Arc<Shared>, mut task: Task, why: String) {
 fn ping(addr: &str, opts: &BackendOptions) -> bool {
     match Wire::connect(addr, opts) {
         Ok(mut conn) => conn
-            .roundtrip("{\"verb\":\"ping\"}\n")
+            .request("{\"verb\":\"ping\"}\n")
             .map(|reply| reply.get("ok").and_then(Json::as_bool) == Some(true))
             .unwrap_or(false),
         Err(_) => false,
@@ -701,8 +716,9 @@ fn ping(addr: &str, opts: &BackendOptions) -> bool {
 mod tests {
     use super::*;
 
-    fn reply(text: &str) -> Json {
-        json::parse(text).expect("valid json")
+    /// A `wait` reply line read for a `mine` shard over blocks 0..4.
+    fn reply(text: &str) -> ResultReply<'_> {
+        wire::read_result_reply(text, JobKind::Mine, &(0..4)).expect("valid json")
     }
 
     #[test]
@@ -748,13 +764,19 @@ mod tests {
     fn wait_replies_classify_by_state() {
         let pending = r#"{"ok":true,"id":3,"state":"running","result":null}"#;
         assert!(wait_outcome(reply(pending), "w").is_none());
-        let done = r#"{"ok":true,"id":3,"state":"done","result":{"kind":"mine_shard"}}"#;
+        let done = r#"{"ok":true,"id":3,"state":"done","result":{"kind":"mine_shard","shard_start":0,"shard_end":4,"observations":[]}}"#;
         match wait_outcome(reply(done), "w") {
-            Some(Outcome::Delivered(body)) => {
-                assert_eq!(body.render_compact(), r#"{"kind":"mine_shard"}"#);
+            Some(Outcome::Delivered(partial)) => {
+                assert_eq!(partial, ShardPartial::Mine(Vec::new()));
             }
             _ => panic!("done reply not delivered"),
         }
+        // A done reply whose partial breaks the protocol fails the job.
+        let malformed = r#"{"ok":true,"id":3,"state":"done","result":{"kind":"mine_shard"}}"#;
+        assert!(matches!(
+            wait_outcome(reply(malformed), "w"),
+            Some(Outcome::Fatal(why)) if why.starts_with("merge: ")
+        ));
         let empty = r#"{"ok":true,"id":3,"state":"done","result":null}"#;
         assert!(matches!(
             wait_outcome(reply(empty), "w"),

@@ -4,8 +4,11 @@
 //! splits the job into contiguous block-range shards with
 //! [`plan_shards`], renders each shard's `submit` from the client's
 //! [`JobSpec`] ([`JobSpec::to_json`]), and folds the workers' mergeable
-//! partials ([`wire::shard_reply_from_json`]) back together with the scan
-//! engine's own merge primitives:
+//! partials back together with the scan engine's own merge primitives.
+//! A partial arrives already typed ([`ShardPartial`]): the runner decoded
+//! it from the worker's reply line ([`wire::read_result_reply`], which
+//! checks the reply's kind and range echo) before taking the scheduler
+//! lock, so [`Assembly::accept`] only checks the shard and absorbs:
 //!
 //! * **mine** — shards return raw [`MinedObservation`] exports; the
 //!   assembly absorbs them into one [`KeyMiner`] (absorption is
@@ -24,7 +27,7 @@
 //! a phase lands, and the caller just dispatches whatever
 //! [`Step::Dispatch`] hands back. Because every fold is either
 //! commutative or replayed in shard order, and the finished result is
-//! rendered by the same [`wire`] functions `dumpd` uses, the final JSON
+//! written by the same [`wire`] functions `dumpd` uses, the final line
 //! is byte-identical to the single-node `dumpd` result at any shard count
 //! — the cluster integration tests assert exactly that.
 //!
@@ -51,6 +54,8 @@ pub struct ShardRequest {
     /// The block range this request covers (identifies the shard when its
     /// result comes back through [`Assembly::accept`]).
     pub shard: Range<u64>,
+    /// The shard job's kind, which its reply must name.
+    pub kind: JobKind,
     /// The complete `submit` request body, `verb` included.
     pub body: Json,
 }
@@ -62,8 +67,8 @@ pub enum Step {
     Wait,
     /// A new phase started: dispatch these shard requests.
     Dispatch(Vec<ShardRequest>),
-    /// The job is complete; this is the merged result body.
-    Done(Json),
+    /// The job is complete; this is the merged result, rendered compact.
+    Done(String),
 }
 
 /// The per-job merge state machine. See the module docs for the protocol.
@@ -152,15 +157,15 @@ impl Assembly {
         Step::Dispatch(requests)
     }
 
-    /// Absorbs one shard's result body. `shard` must be a range this
-    /// assembly dispatched for the *current* phase; `body` is the
-    /// worker's `result` payload.
+    /// Absorbs one shard's partial. `shard` must be a range this assembly
+    /// dispatched for the *current* phase, and `partial` of that phase's
+    /// kind.
     ///
     /// Errors are merge-protocol violations (unknown shard, duplicate
-    /// delivery, wrong reply kind, malformed partial) and should fail the
-    /// job — they mean a worker or the transport broke the contract, and
-    /// a silently tolerated duplicate would double-count observations.
-    pub fn accept(&mut self, shard: &Range<u64>, body: &Json) -> Result<Step, String> {
+    /// delivery, a partial of another kind) and should fail the job — they
+    /// mean a worker or the transport broke the contract, and a silently
+    /// tolerated duplicate would double-count observations.
+    pub fn accept(&mut self, shard: &Range<u64>, partial: ShardPartial) -> Result<Step, String> {
         let Some(kind) = self.phase else {
             return Err("job already complete".to_string());
         };
@@ -175,7 +180,14 @@ impl Assembly {
                 shard.start, shard.end
             ));
         }
-        match wire::shard_reply_from_json(body, kind, shard)? {
+        if partial.kind() != kind {
+            return Err(format!(
+                "a {} partial in the {} phase",
+                partial.kind().name(),
+                kind.name()
+            ));
+        }
+        match partial {
             ShardPartial::Mine(observations) => self.miner.absorb_observations(observations),
             ShardPartial::Frequency(counts) => self.freq.absorb_counts(counts),
             ShardPartial::Search(partial) => self.search_parts[idx] = Some(partial),
@@ -229,6 +241,7 @@ impl Assembly {
             .iter()
             .map(|shard| ShardRequest {
                 shard: shard.clone(),
+                kind,
                 body: self.shard_spec(kind, shard).to_json(),
             })
             .collect()
@@ -269,7 +282,7 @@ impl Assembly {
             (JobKind::Mine, Some(JobKind::Mine)) => {
                 let miner =
                     std::mem::replace(&mut self.miner, KeyMiner::new(&MiningConfig::default()));
-                Step::Done(wire::keys_to_json(JobKind::Mine, &miner.finish()))
+                Step::Done(wire::keys_to_json(JobKind::Mine, &miner.finish()).render_compact())
             }
             (JobKind::Attack, Some(JobKind::Mine)) => {
                 let miner =
@@ -284,7 +297,7 @@ impl Assembly {
             }
             (JobKind::Attack, Some(JobKind::SearchShard)) => {
                 let parts = std::mem::take(&mut self.search_parts);
-                Step::Done(wire::attack_to_json(&AttackReport {
+                Step::Done(wire::attack_result_line(&AttackReport {
                     candidates: std::mem::take(&mut self.candidates),
                     outcome: merge_search_partials(parts.into_iter().flatten()),
                     mined_bytes: self.mined_bytes as usize,
@@ -292,15 +305,15 @@ impl Assembly {
             }
             (JobKind::Frequency, Some(JobKind::Frequency)) => {
                 let freq = std::mem::replace(&mut self.freq, FrequencyCounter::new());
-                Step::Done(wire::keys_to_json(
-                    JobKind::Frequency,
-                    &freq.finish(self.spec.top_keys),
-                ))
+                Step::Done(
+                    wire::keys_to_json(JobKind::Frequency, &freq.finish(self.spec.top_keys))
+                        .render_compact(),
+                )
             }
             // Unreachable by construction (each kind only enters its own
             // phases, and a `search_shard` spec none); complete
             // defensively rather than panic.
-            _ => Step::Done(Json::Null),
+            _ => Step::Done(Json::Null.render_compact()),
         }
     }
 }
@@ -311,6 +324,7 @@ mod tests {
     use coldboot::keysearch::{KeySize, RecoveredAesKey, ScheduleHit};
     use coldboot::litmus::MinedObservation;
     use coldboot_dumpio::json;
+    use coldboot_dumpio::wire::{result_reply, JobState};
 
     const BLOCK: u64 = BLOCK_BYTES as u64;
 
@@ -331,17 +345,31 @@ mod tests {
         wire::parse_spec(&json::parse(&line).expect("valid json")).expect("valid submit")
     }
 
-    /// A worker's `mine_shard` reply body.
-    fn mine_reply(shard: &Range<u64>, observations: &[MinedObservation]) -> Json {
-        wire::shard_reply_to_json(shard, &ShardPartial::Mine(observations.to_vec()))
+    /// A worker's `mine_shard` result line.
+    fn mine_reply(shard: &Range<u64>, observations: &[MinedObservation]) -> String {
+        wire::shard_reply_line(shard, &ShardPartial::Mine(observations.to_vec()))
     }
 
-    fn freq_reply(shard: &Range<u64>, counts: &[([u8; BLOCK_BYTES], u32)]) -> Json {
-        wire::shard_reply_to_json(shard, &ShardPartial::Frequency(counts.to_vec()))
+    fn freq_reply(shard: &Range<u64>, counts: &[([u8; BLOCK_BYTES], u32)]) -> String {
+        wire::shard_reply_line(shard, &ShardPartial::Frequency(counts.to_vec()))
     }
 
-    fn search_reply(shard: &Range<u64>, partial: &SearchPartial) -> Json {
-        wire::shard_reply_to_json(shard, &ShardPartial::Search(partial.clone()))
+    fn search_reply(shard: &Range<u64>, partial: &SearchPartial) -> String {
+        wire::shard_reply_line(shard, &ShardPartial::Search(partial.clone()))
+    }
+
+    /// Delivers a worker's result for a `kind` shard as a runner does: read
+    /// from the `wait` reply line against the shard's kind and range, then
+    /// accepted.
+    fn deliver(
+        assembly: &mut Assembly,
+        kind: JobKind,
+        shard: &Range<u64>,
+        result: String,
+    ) -> Result<Step, String> {
+        let line = result_reply(1, &JobState::Done(result.into())).render_compact();
+        let reply = wire::read_result_reply(&line, kind, shard).expect("a JSON line");
+        assembly.accept(shard, reply.result.expect("a result body")?)
     }
 
     fn recovery(seed: u8, schedule_addr: u64) -> RecoveredAesKey {
@@ -387,7 +415,12 @@ mod tests {
         // Deliver out of order: absorption is commutative.
         let mut done = None;
         for (req, set) in requests.iter().zip(&sets).rev() {
-            match assembly.accept(&req.shard, &mine_reply(&req.shard, set)) {
+            match deliver(
+                &mut assembly,
+                req.kind,
+                &req.shard,
+                mine_reply(&req.shard, set),
+            ) {
                 Ok(Step::Done(result)) => done = Some(result),
                 Ok(_) => {}
                 Err(e) => panic!("accept failed: {e}"),
@@ -399,7 +432,7 @@ mod tests {
         reference.absorb_observations(sets.iter().flatten().cloned());
         assert_eq!(
             merged,
-            wire::keys_to_json(JobKind::Mine, &reference.finish())
+            wire::keys_to_json(JobKind::Mine, &reference.finish()).render_compact()
         );
         assert_eq!(assembly.progress(), (2, 2));
         assert_eq!(assembly.phase_name(), "done");
@@ -415,20 +448,29 @@ mod tests {
         };
         let a = [([7u8; BLOCK_BYTES], 2u32), ([9; BLOCK_BYTES], 1)];
         let b = [([7u8; BLOCK_BYTES], 3u32)];
+        let kind = JobKind::Frequency;
         assert!(matches!(
-            assembly.accept(&requests[0].shard, &freq_reply(&requests[0].shard, &a)),
+            deliver(
+                &mut assembly,
+                kind,
+                &requests[0].shard,
+                freq_reply(&requests[0].shard, &a)
+            ),
             Ok(Step::Wait)
         ));
-        let Ok(Step::Done(merged)) =
-            assembly.accept(&requests[1].shard, &freq_reply(&requests[1].shard, &b))
-        else {
+        let Ok(Step::Done(merged)) = deliver(
+            &mut assembly,
+            kind,
+            &requests[1].shard,
+            freq_reply(&requests[1].shard, &b),
+        ) else {
             panic!("expected done");
         };
         let mut reference = FrequencyCounter::new();
         reference.absorb_counts(a.iter().chain(&b).copied());
         assert_eq!(
             merged,
-            wire::keys_to_json(JobKind::Frequency, &reference.finish(1))
+            wire::keys_to_json(JobKind::Frequency, &reference.finish(1)).render_compact()
         );
     }
 
@@ -449,16 +491,22 @@ mod tests {
 
         // A key observed 3 times survives mining and becomes a candidate.
         let observations = vec![obs(0xAA, 3, 0)];
+        let mine = JobKind::Mine;
         assert!(matches!(
-            assembly.accept(
+            deliver(
+                &mut assembly,
+                mine,
                 &mine_reqs[0].shard,
-                &mine_reply(&mine_reqs[0].shard, &observations)
+                mine_reply(&mine_reqs[0].shard, &observations)
             ),
             Ok(Step::Wait)
         ));
-        let Ok(Step::Dispatch(search_reqs)) =
-            assembly.accept(&mine_reqs[1].shard, &mine_reply(&mine_reqs[1].shard, &[]))
-        else {
+        let Ok(Step::Dispatch(search_reqs)) = deliver(
+            &mut assembly,
+            mine,
+            &mine_reqs[1].shard,
+            mine_reply(&mine_reqs[1].shard, &[]),
+        ) else {
             panic!("expected search dispatch");
         };
         assert_eq!(search_reqs.len(), 2, "search covers the whole image");
@@ -492,21 +540,28 @@ mod tests {
                 blocks_scanned: 4,
             },
         ];
+        let search = JobKind::SearchShard;
+        assert_eq!(search_reqs[0].kind, search);
         assert!(matches!(
-            assembly.accept(
+            deliver(
+                &mut assembly,
+                search,
                 &search_reqs[0].shard,
-                &search_reply(&search_reqs[0].shard, &parts[0])
+                search_reply(&search_reqs[0].shard, &parts[0])
             ),
             Ok(Step::Wait)
         ));
-        let Ok(Step::Done(merged)) = assembly.accept(
+        let Ok(Step::Done(merged)) = deliver(
+            &mut assembly,
+            search,
             &search_reqs[1].shard,
-            &search_reply(&search_reqs[1].shard, &parts[1]),
+            search_reply(&search_reqs[1].shard, &parts[1]),
         ) else {
             panic!("expected done");
         };
 
         let reference = merge_search_partials(parts.iter().cloned());
+        let merged = json::parse(&merged).expect("the result is JSON");
         assert_eq!(merged.get("kind").and_then(Json::as_str), Some("attack"));
         assert_eq!(
             merged.get("mined_bytes").and_then(Json::as_i64),
@@ -549,9 +604,11 @@ mod tests {
         // Mining shards never carry the reconstruction knobs (dumpd
         // rejects them for non-search kinds).
         assert!(mine_reqs[0].body.get("ground").is_none());
-        let Ok(Step::Dispatch(search_reqs)) = assembly.accept(
+        let Ok(Step::Dispatch(search_reqs)) = deliver(
+            &mut assembly,
+            JobKind::Mine,
             &mine_reqs[0].shard,
-            &mine_reply(&mine_reqs[0].shard, &[obs(0xAA, 3, 0)]),
+            mine_reply(&mine_reqs[0].shard, &[obs(0xAA, 3, 0)]),
         ) else {
             panic!("expected search dispatch");
         };
@@ -576,12 +633,15 @@ mod tests {
             recoveries: vec![rec],
             blocks_scanned: 4,
         };
-        let Ok(Step::Done(merged)) = assembly.accept(
+        let Ok(Step::Done(merged)) = deliver(
+            &mut assembly,
+            JobKind::SearchShard,
             &search_reqs[0].shard,
-            &search_reply(&search_reqs[0].shard, &partial),
+            search_reply(&search_reqs[0].shard, &partial),
         ) else {
             panic!("expected done");
         };
+        let merged = json::parse(&merged).expect("the result is JSON");
         let recovered = merged
             .get("recovered")
             .and_then(Json::as_arr)
@@ -606,6 +666,7 @@ mod tests {
         let Step::Done(result) = assembly.begin() else {
             panic!("empty image completes immediately");
         };
+        let result = json::parse(&result).expect("the result is JSON");
         assert_eq!(result.get("kind").and_then(Json::as_str), Some("attack"));
         assert_eq!(result.get("mined_bytes").and_then(Json::as_i64), Some(0));
         assert_eq!(result.get("blocks_scanned").and_then(Json::as_i64), Some(0));
@@ -620,23 +681,24 @@ mod tests {
         };
         let shard = requests[0].shard.clone();
 
+        let mine = JobKind::Mine;
         // Unknown shard range.
-        assert!(assembly
-            .accept(&(9..12), &mine_reply(&(9..12), &[]))
-            .is_err());
-        // Wrong reply kind for the phase.
+        assert!(deliver(&mut assembly, mine, &(9..12), mine_reply(&(9..12), &[])).is_err());
+        // Wrong reply kind for the phase, on the wire and as a partial.
         let wrong = freq_reply(&shard, &[]);
-        assert!(assembly.accept(&shard, &wrong).is_err());
+        assert!(deliver(&mut assembly, mine, &shard, wrong).is_err());
+        assert!(assembly
+            .accept(&shard, ShardPartial::Frequency(Vec::new()))
+            .is_err());
         // Echoed range disagreeing with the delivered shard.
         let other = requests[1].shard.clone();
-        assert!(assembly.accept(&shard, &mine_reply(&other, &[])).is_err());
+        assert!(deliver(&mut assembly, mine, &shard, mine_reply(&other, &[])).is_err());
         // Valid delivery, then a duplicate.
         assert!(matches!(
-            assembly.accept(&shard, &mine_reply(&shard, &[])),
+            deliver(&mut assembly, mine, &shard, mine_reply(&shard, &[])),
             Ok(Step::Wait)
         ));
-        let err = assembly
-            .accept(&shard, &mine_reply(&shard, &[]))
+        let err = deliver(&mut assembly, mine, &shard, mine_reply(&shard, &[]))
             .expect_err("duplicates double-count");
         assert!(err.contains("duplicate"), "{err}");
     }

@@ -652,8 +652,9 @@ fn forgotten_jobs_answer_unknown_and_free_their_quota_slot() {
 }
 
 /// The coordinator reads submits with `dumpd`'s own parser, so both
-/// services answer the same lines alike: a line without a verb, and seven
-/// submits a worker refuses.
+/// services answer the same lines alike: a line without a verb, nine
+/// submits a worker refuses, and a submit whose optional field is `null`,
+/// which both accept.
 #[test]
 fn both_services_answer_the_same_lines_alike() {
     let path = random_dump_file("cluster_same_lines.cbdf", 7);
@@ -677,6 +678,8 @@ fn both_services_answer_the_same_lines_alike() {
         submit(&format!(
             r#""kind":"attack","ground":{dump},"work_budget":-5"#
         )),
+        submit(r#""kind":"attack","ground":5"#),
+        submit(r#""kind":"mine","deep":"true""#),
     ];
     let verdict = |reply: &Json| {
         (
@@ -689,5 +692,9 @@ fn both_services_answer_the_same_lines_alike() {
         assert_eq!(single.0, Some(false), "dumpd accepted {line}");
         assert_eq!(verdict(&clusterd.raw(line)), single, "{line}");
     }
+    let accepted = submit(r#""kind":"mine","work_budget":null"#);
+    let single = verdict(&dumpd.raw(&accepted));
+    assert_eq!(single, (Some(true), None), "dumpd refused {accepted}");
+    assert_eq!(verdict(&clusterd.raw(&accepted)), single, "{accepted}");
     cluster.shutdown();
 }

@@ -310,7 +310,7 @@ pub struct SearchOutcome {
 /// fold over the concatenated raw sequences, which — because shards in
 /// block order concatenate to the exact global verification order — makes
 /// the merged outcome byte-identical to a single whole-image search.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchPartial {
     /// Single-block hits, in global block order within the shard.
     pub hits: Vec<ScheduleHit>,

@@ -7,6 +7,12 @@
 //! insertion order (deterministic output for diffing) and non-finite
 //! floats render as `null` (JSON has no NaN/Infinity).
 //!
+//! The parser is a pull [`Reader`]: [`parse`] uses it to build a tree, and
+//! the cluster coordinator uses it to decode a worker's shard reply (up to
+//! megabytes of hex rows) straight into typed partials in one pass, with
+//! no tree (`crate::wire::read_result_reply`). Both read with one lexer,
+//! so they accept the same documents.
+//!
 //! [`Json::Raw`] holds a document that is already rendered. A service keeps
 //! a large finished result as one shared string and splices it into every
 //! reply that carries it, instead of keeping a tree and rendering it again
@@ -16,6 +22,7 @@
 //! other image-derived bytes. The secret-hygiene lint treats any
 //! `key`-named value reaching a serializer as a finding.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -239,36 +246,303 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Writes one compact object straight into a line, field by field: the
+/// bytes [`Json::render_compact`] gives for the same fields as a
+/// [`Json::Obj`], with no tree built. For large documents whose rows a
+/// caller writes from its own types.
+pub struct ObjectWriter<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl<'o> ObjectWriter<'o> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'o mut String) -> Self {
+        out.push('{');
+        Self { out, empty: true }
+    }
+
+    /// Starts field `name`; the caller writes its compact value into the
+    /// returned buffer.
+    pub fn field(&mut self, name: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_escaped(self.out, name);
+        self.out.push(':');
+        self.out
+    }
+
+    /// An integer field.
+    pub fn int(&mut self, name: &str, value: i64) {
+        Json::Int(value).write_compact(self.field(name));
+    }
+
+    /// A string field.
+    pub fn str(&mut self, name: &str, value: &str) {
+        write_escaped(self.field(name), value);
+    }
+
+    /// An array field whose elements `each` writes.
+    pub fn array<I: IntoIterator>(
+        &mut self,
+        name: &str,
+        items: I,
+        mut each: impl FnMut(&mut String, I::Item),
+    ) {
+        let out = self.field(name);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            each(out, item);
+        }
+        out.push(']');
+    }
+
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push('}');
+    }
+}
+
 /// Parses a complete JSON document; `None` on any malformation, including
 /// trailing non-whitespace.
 pub fn parse(text: &str) -> Option<Json> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return None;
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.tree()?;
+    reader.finish()?;
     Some(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document, for callers that decode a large
+/// document straight into their own types instead of building a [`Json`]
+/// tree first.
+///
+/// It accepts exactly what [`parse`] accepts — `parse` is built on it —
+/// with the same nesting limit. Each method reads one value; `None` means
+/// the document is malformed, and the reader is then of no further use.
+/// A string without escapes is borrowed from the input, so a caller can
+/// decode it without allocating. Object fields arrive in document order,
+/// duplicates included: a caller that wants [`Json::get`]'s semantics
+/// keeps the first and [`skip`](Self::skip)s the rest.
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Nesting depth of the next value.
+    depth: usize,
 }
 
-impl Parser<'_> {
+/// One value as [`Reader::scalar`] reads it. An array or object is read
+/// through and reported as `Nested`, with its text.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number that [`parse`] reads as [`Json::Int`].
+    Int(i64),
+    /// Any other number.
+    Num(f64),
+    /// A string, borrowed from the document when it has no escapes.
+    Str(Cow<'a, str>),
+    /// An array or an object, checked, as its text in the document.
+    Nested(&'a str),
+}
+
+impl<'a> Scalar<'a> {
+    /// The integer, as [`Json::as_i64`] reads it.
+    #[must_use]
+    pub fn int(self) -> Option<i64> {
+        match self {
+            Scalar::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The string, as [`Json::as_str`] reads it.
+    #[must_use]
+    pub fn string(self) -> Option<Cow<'a, str>> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean, as [`Json::as_bool`] reads it.
+    #[must_use]
+    pub fn boolean(self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the document's one value.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        let mut reader = Self {
+            text,
+            pos: 0,
+            depth: 0,
+        };
+        reader.skip_ws();
+        reader
+    }
+
+    /// Ends the document: only whitespace may follow the value.
+    pub fn finish(mut self) -> Option<()> {
+        self.skip_ws();
+        (self.pos == self.text.len()).then_some(())
+    }
+
+    /// Reads an object, calling `field` with each key in document order;
+    /// `field` must read or skip that key's value. Any other value is
+    /// skipped, and the result is `Some(false)`.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Option<()>,
+    ) -> Option<bool> {
+        if self.start()? != b'{' {
+            self.skip()?;
+            return Some(false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.eat(b'}').is_some() {
+            return Some(true);
+        }
+        self.depth += 1;
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            field(self, key)?;
+            self.skip_ws();
+            if self.eat(b'}').is_some() {
+                self.depth -= 1;
+                return Some(true);
+            }
+            self.eat(b',')?;
+        }
+    }
+
+    /// Reads an array, calling `item` for each element in order; `item`
+    /// must read or skip it. Any other value is skipped, and the result
+    /// is `Some(false)`.
+    pub fn array(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<bool> {
+        if self.start()? != b'[' {
+            self.skip()?;
+            return Some(false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.eat(b']').is_some() {
+            return Some(true);
+        }
+        self.depth += 1;
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            if self.eat(b']').is_some() {
+                self.depth -= 1;
+                return Some(true);
+            }
+            self.eat(b',')?;
+        }
+    }
+
+    /// Reads a `null` if one is next (`Some(true)`); any other value is
+    /// left unread (`Some(false)`).
+    pub fn null(&mut self) -> Option<bool> {
+        if self.start()? != b'n' {
+            return Some(false);
+        }
+        self.literal("null")?;
+        Some(true)
+    }
+
+    /// Reads one value of any kind; an array or object is read through
+    /// (and checked) without being built.
+    pub fn scalar(&mut self) -> Option<Scalar<'a>> {
+        let start = self.pos;
+        Some(match self.start()? {
+            b'n' => self.literal("null").map(|()| Scalar::Null)?,
+            b't' => self.literal("true").map(|()| Scalar::Bool(true))?,
+            b'f' => self.literal("false").map(|()| Scalar::Bool(false))?,
+            b'"' => Scalar::Str(self.string()?),
+            b'-' | b'0'..=b'9' => self.number()?,
+            b'[' => {
+                self.array(Self::skip)?;
+                Scalar::Nested(self.text.get(start..self.pos)?)
+            }
+            b'{' => {
+                self.object(|reader, _| reader.skip())?;
+                Scalar::Nested(self.text.get(start..self.pos)?)
+            }
+            _ => return None,
+        })
+    }
+
+    /// Reads past one value of any kind.
+    pub fn skip(&mut self) -> Option<()> {
+        self.scalar().map(drop)
+    }
+
+    /// Reads one value into a [`Json`] tree.
+    pub fn tree(&mut self) -> Option<Json> {
+        Some(match self.start()? {
+            b'[' => {
+                let mut items = Vec::new();
+                self.array(|reader| {
+                    items.push(reader.tree()?);
+                    Some(())
+                })?;
+                Json::Arr(items)
+            }
+            b'{' => {
+                let mut pairs = Vec::new();
+                self.object(|reader, key| {
+                    pairs.push((key.into_owned(), reader.tree()?));
+                    Some(())
+                })?;
+                Json::Obj(pairs)
+            }
+            _ => match self.scalar()? {
+                Scalar::Null | Scalar::Nested(_) => Json::Null,
+                Scalar::Bool(b) => Json::Bool(b),
+                Scalar::Int(i) => Json::Int(i),
+                Scalar::Num(v) => Json::Num(v),
+                Scalar::Str(s) => Json::Str(s.into_owned()),
+            },
+        })
+    }
+
+    /// The first byte of the next value, once its depth is checked.
+    fn start(&mut self) -> Option<u8> {
+        if self.depth > MAX_DEPTH {
+            return None;
+        }
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn eat(&mut self, b: u8) -> Option<()> {
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.text.as_bytes().get(self.pos) == Some(&b) {
             self.pos += 1;
             Some(())
         } else {
@@ -278,7 +552,7 @@ impl Parser<'_> {
 
     fn literal(&mut self, word: &str) -> Option<()> {
         let end = self.pos.checked_add(word.len())?;
-        if self.bytes.get(self.pos..end)? == word.as_bytes() {
+        if self.text.as_bytes().get(self.pos..end)? == word.as_bytes() {
             self.pos = end;
             Some(())
         } else {
@@ -286,74 +560,32 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Option<Json> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        match self.bytes.get(self.pos)? {
-            b'n' => self.literal("null").map(|()| Json::Null),
-            b't' => self.literal("true").map(|()| Json::Bool(true)),
-            b'f' => self.literal("false").map(|()| Json::Bool(false)),
-            b'"' => self.string().map(Json::Str),
-            b'[' => self.array(depth),
-            b'{' => self.object(depth),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']').is_some() {
-            return Some(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            if self.eat(b']').is_some() {
-                return Some(Json::Arr(items));
-            }
-            self.eat(b',')?;
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}').is_some() {
-            return Some(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            if self.eat(b'}').is_some() {
-                return Some(Json::Obj(pairs));
-            }
-            self.eat(b',')?;
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
+    /// A string value or key. Runs without escapes are sliced out of the
+    /// input whole: every position this cuts at holds an ASCII `"` or `\`,
+    /// so it is a character boundary, and the input is already UTF-8.
+    fn string(&mut self) -> Option<Cow<'a, str>> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
         loop {
-            let b = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            match b {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos)?;
+            match *bytes.get(self.pos)? {
+                b'"' => {
+                    let tail = self.text.get(run..self.pos)?;
                     self.pos += 1;
+                    return Some(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                b'\\' => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(self.text.get(run..self.pos)?);
+                    let esc = *bytes.get(self.pos + 1)?;
+                    self.pos += 2;
                     match esc {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
@@ -366,34 +598,17 @@ impl Parser<'_> {
                         b'u' => out.push(self.unicode_escape()?),
                         _ => return None,
                     }
+                    run = self.pos;
                 }
                 0x00..=0x1F => return None, // control bytes must be escaped
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Decode exactly one UTF-8 sequence. The input is a
-                    // &str, so the byte at pos-1 starts a valid sequence —
-                    // validate only its own bytes, never the whole tail
-                    // (re-validating the remainder per character made
-                    // string parsing quadratic, which megabyte-scale shard
-                    // result lines turned into a hang).
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let seq = self.bytes.get(start..start + len)?;
-                    let c = std::str::from_utf8(seq).ok()?.chars().next()?;
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
+                _ => self.pos += 1,
             }
         }
     }
 
     fn hex4(&mut self) -> Option<u32> {
         let end = self.pos.checked_add(4)?;
-        let digits = std::str::from_utf8(self.bytes.get(self.pos..end)?).ok()?;
+        let digits = self.text.get(self.pos..end)?;
         let v = u32::from_str_radix(digits, 16).ok()?;
         self.pos = end;
         Some(v)
@@ -415,13 +630,14 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Option<Json> {
+    fn number(&mut self) -> Option<Scalar<'a>> {
         let start = self.pos;
         let mut integral = true;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        let bytes = self.text.as_bytes();
+        if bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = bytes.get(self.pos) {
             match b {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
@@ -431,17 +647,17 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+        let text = self.text.get(start..self.pos)?;
         if integral {
             if let Ok(i) = text.parse::<i64>() {
-                return Some(Json::Int(i));
+                return Some(Scalar::Int(i));
             }
         }
         let v: f64 = text.parse().ok()?;
         if !v.is_finite() {
             return None;
         }
-        Some(Json::Num(v))
+        Some(Scalar::Num(v))
     }
 }
 

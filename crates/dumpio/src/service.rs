@@ -58,7 +58,8 @@
 //! When one more job ends, the oldest finished one is forgotten and its
 //! id answers `unknown_job`; queued and running jobs are never forgotten.
 //! A finished job keeps its result rendered once, as one string that
-//! every `result` and `wait` reply splices in.
+//! every `result` and `wait` reply splices in; a shard partial or an
+//! `attack` result is written straight into that string, with no tree.
 //!
 //! ## Shard jobs (cluster protocol)
 //!
@@ -590,9 +591,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         let terminal = match outcome {
             Ok(result) => {
                 metrics.jobs_done.inc();
-                // Rendered once, here: every `result` and `wait` reply
-                // splices this string.
-                JobState::Done(result.render_compact().into())
+                // Every `result` and `wait` reply splices this string.
+                JobState::Done(result.into())
             }
             Err(PipelineError::Cancelled) => {
                 metrics.jobs_cancelled.inc();
@@ -638,7 +638,10 @@ fn reconstruct_config(
     Ok(Some(rc))
 }
 
-fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
+/// Runs a job to its finished document, rendered compact once: a shard
+/// partial or an `attack` result is written straight into its line, a key
+/// list rendered from its small tree.
+fn execute(job: &Job, shared: &Shared) -> Result<String, PipelineError> {
     let spec = &job.spec;
     let file = File::open(&spec.dump).map_err(DumpError::from)?;
     let mut reader = DumpReader::new(BufReader::new(file))?;
@@ -687,7 +690,7 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
             job.blocks_total
                 .store(attack_total_blocks(total_bytes, &config), Ordering::Relaxed);
             let report = attack_file(&mut reader, &config, spec.window_blocks, &ctrl)?;
-            Ok(wire::attack_to_json(&report))
+            Ok(wire::attack_result_line(&report))
         }
         JobKind::Mine => {
             // A shard job mines its range and exports mergeable
@@ -701,9 +704,9 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
                 .store(range_blocks(&range), Ordering::Relaxed);
             let miner = mine_range(&mut reader, &mining, spec.window_blocks, &range, &ctrl)?;
             Ok(match &spec.shard {
-                None => wire::keys_to_json(JobKind::Mine, &miner.finish()),
+                None => wire::keys_to_json(JobKind::Mine, &miner.finish()).render_compact(),
                 Some(shard) => {
-                    wire::shard_reply_to_json(shard, &ShardPartial::Mine(miner.into_observations()))
+                    wire::shard_reply_line(shard, &ShardPartial::Mine(miner.into_observations()))
                 }
             })
         }
@@ -713,11 +716,11 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
                 .store(range_blocks(&range), Ordering::Relaxed);
             let counter = frequency_range(&mut reader, spec.window_blocks, &range, &ctrl)?;
             Ok(match &spec.shard {
-                None => wire::keys_to_json(JobKind::Frequency, &counter.finish(spec.top_keys)),
-                Some(shard) => wire::shard_reply_to_json(
-                    shard,
-                    &ShardPartial::Frequency(counter.into_counts()),
-                ),
+                None => wire::keys_to_json(JobKind::Frequency, &counter.finish(spec.top_keys))
+                    .render_compact(),
+                Some(shard) => {
+                    wire::shard_reply_line(shard, &ShardPartial::Frequency(counter.into_counts()))
+                }
             })
         }
         JobKind::SearchShard => {
@@ -743,7 +746,7 @@ fn execute(job: &Job, shared: &Shared) -> Result<Json, PipelineError> {
                 &shard,
                 &ctrl,
             )?;
-            Ok(wire::shard_reply_to_json(
+            Ok(wire::shard_reply_line(
                 &shard,
                 &ShardPartial::Search(partial),
             ))
@@ -804,6 +807,8 @@ mod tests {
             r#"{"kind":"mine"}"#,
             r#"{"kind":"mine","dump":"d","window_blocks":0}"#,
             r#"{"kind":"mine","dump":"d","max_bytes":-4}"#,
+            // A present field of the wrong type is refused, not dropped.
+            r#"{"kind":"mine","dump":"d","deep":"true"}"#,
         ] {
             let req = json::parse(bad).expect("valid json");
             assert!(parse_spec(&req).is_err(), "accepted {bad}");
@@ -832,9 +837,26 @@ mod tests {
             r#"{"kind":"attack","dump":"d","ground":"g","decay_fraction":-0.1}"#,
             r#"{"kind":"mine","dump":"d","ground":"g"}"#,
             r#"{"kind":"frequency","dump":"d","ground":"g"}"#,
+            r#"{"kind":"attack","dump":"d","ground":5}"#,
         ] {
             let req = json::parse(bad).expect("valid json");
             assert!(parse_spec(&req).is_err(), "accepted {bad}");
+        }
+
+        // `null` is absent for every optional field, with or without a
+        // ground dump.
+        for absent in [
+            r#"{"kind":"attack","dump":"d","work_budget":null}"#,
+            r#"{"kind":"attack","dump":"d","decay_fraction":null,"ground":null,"deep":null}"#,
+        ] {
+            let req = json::parse(absent).expect("valid json");
+            let spec = parse_spec(&req)
+                .map_err(|e| e.render_compact())
+                .expect(absent);
+            assert_eq!(
+                (spec.ground, spec.work_budget, spec.deep),
+                (None, None, false)
+            );
         }
 
         // A ground path alone is enough: the channel then comes from the

@@ -1,13 +1,13 @@
 //! The job protocol's documents: every JSON shape `coldboot-dumpd` and
-//! the `coldboot-cluster` coordinator exchange is rendered and parsed
-//! here, so the two services cannot drift.
+//! the `coldboot-cluster` coordinator exchange is written and read here,
+//! so the two services cannot drift.
 //!
 //! * The `submit` spec: [`parse_spec`] reads a submit line into a
 //!   [`JobSpec`] (dumpd for every job, the coordinator for its clients'
 //!   jobs) and [`JobSpec::to_json`] renders one back (the coordinator's
 //!   shard submits). `crate::service` lists the fields.
 //! * Finished results: the `mine`/`frequency` key list
-//!   ([`keys_to_json`]) and the `attack` result ([`attack_to_json`]).
+//!   ([`keys_to_json`]) and the `attack` result ([`attack_result_line`]).
 //! * Shard replies, the *mergeable* partials a worker returns for one
 //!   block range ([`ShardPartial`]): mining observation maps, frequency
 //!   histograms, and search hits with *pre-dedup* recoveries, framed with
@@ -15,14 +15,29 @@
 //! * Reply envelopes: the uniform error ([`error_response`]) and the
 //!   `result`/`wait` reply ([`result_reply`]) with its job [`JobState`].
 //!
+//! Two kinds of document travel differently. Control documents (submits,
+//! key lists, errors, `status`, `stats`, the reply envelopes) are small
+//! and go through [`Json`] trees. Shard replies carry thousands of rows
+//! (a `frequency_shard` over a 1 MiB capture is ~380 KB), so they never
+//! become trees: dumpd writes each one straight into its line
+//! ([`shard_reply_line`]), and the coordinator decodes the `wait` reply
+//! that carries it in one pass, envelope and partial together, with the
+//! pull [`crate::json::Reader`] ([`read_result_reply`]). The `attack`
+//! result shares the recovery row with search partials, so it is written
+//! the same way. Each row shape has one writer and one reader here.
+//!
 //! Every value the scan engine needs to replay its deterministic merge is
 //! carried at full fidelity — keys as lowercase hex, addresses and counts
 //! as integers — which is what makes the cluster result byte-identical to
 //! a single-node pass.
 //!
-//! Parsers are total: any structural mismatch yields `None` or an error,
-//! never a panic, because the bytes come from the network.
+//! Readers are total: any structural mismatch yields `None` or an error,
+//! never a panic, because the bytes come from the network. The line
+//! readers accept what [`crate::json::parse`] accepts, in any field order,
+//! skip unknown fields, and take the first of duplicate keys, as
+//! [`Json::get`] does.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -32,18 +47,41 @@ use coldboot::litmus::{CandidateKey, MinedObservation};
 use coldboot::reconstruct::FlipCounts;
 use coldboot_dram::BLOCK_BYTES;
 
-use crate::json::Json;
+use crate::json::{Json, ObjectWriter, Reader, Scalar};
 use crate::pipeline::DEFAULT_WINDOW_BLOCKS;
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends the lowercase hex digits of `bytes`.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0x0F)]));
+    }
+}
 
 /// Lowercase hex of `bytes` (the line protocol's only binary encoding).
 pub fn hex_lower(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(DIGITS[(b >> 4) as usize] as char);
-        out.push(DIGITS[(b & 0x0F) as usize] as char);
-    }
+    let mut out = String::new();
+    push_hex(&mut out, bytes);
     out
+}
+
+fn hex_nibble(digit: u8) -> Option<u8> {
+    match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        b'A'..=b'F' => Some(digit - b'A' + 10),
+        _ => None,
+    }
+}
+
+fn hex_byte(pair: &[u8]) -> Option<u8> {
+    match pair {
+        [hi, lo] => Some((hex_nibble(*hi)? << 4) | hex_nibble(*lo)?),
+        _ => None,
+    }
 }
 
 /// Decodes lowercase/uppercase hex; `None` on odd length or non-hex input.
@@ -51,18 +89,19 @@ pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if s.len() % 2 != 0 {
         return None;
     }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(out)
+    s.as_bytes().chunks_exact(2).map(hex_byte).collect()
 }
 
 fn block_from_hex(s: &str) -> Option<[u8; BLOCK_BYTES]> {
-    hex_decode(s)?.try_into().ok()
+    let digits = s.as_bytes();
+    if digits.len() != 2 * BLOCK_BYTES {
+        return None;
+    }
+    let mut block = [0u8; BLOCK_BYTES];
+    for (byte, pair) in block.iter_mut().zip(digits.chunks_exact(2)) {
+        *byte = hex_byte(pair)?;
+    }
+    Some(block)
 }
 
 fn get_u64(obj: &Json, key: &str) -> Option<u64> {
@@ -111,192 +150,239 @@ pub fn candidates_from_json(value: &Json) -> Option<Vec<CandidateKey>> {
         .collect()
 }
 
-/// Renders a mining shard's raw observation export:
-/// `[{"key_hex":...,"count":N,"first_idx":N}, ...]`.
-pub fn observations_to_json(observations: &[MinedObservation]) -> Json {
-    Json::Arr(
-        observations
-            .iter()
-            .map(|o| {
-                Json::obj([
-                    ("key_hex", Json::Str(hex_lower(&o.value))),
-                    ("count", Json::Int(i64::from(o.count))),
-                    ("first_idx", Json::Int(o.first_idx as i64)),
-                ])
-            })
-            .collect(),
-    )
+// Shard rows. Each shape has one writer, which writes the row compact into
+// a line, and one reader, which decodes it from a `Reader`. A reader
+// returns `None` for malformed JSON (the whole line is then unreadable)
+// and `Some(None)` for well-formed JSON that is not a row of its shape.
+
+/// A hex field: `"name":"<lowercase hex>"`.
+fn hex_field(row: &mut ObjectWriter<'_>, name: &str, bytes: &[u8]) {
+    let out = row.field(name);
+    out.push('"');
+    push_hex(out, bytes);
+    out.push('"');
 }
 
-/// Parses [`observations_to_json`]'s output.
-pub fn observations_from_json(value: &Json) -> Option<Vec<MinedObservation>> {
-    let Json::Arr(rows) = value else { return None };
-    rows.iter()
-        .map(|row| {
-            Some(MinedObservation {
-                value: block_from_hex(get_str(row, "key_hex")?)?,
-                count: u32::try_from(get_u64(row, "count")?).ok()?,
-                first_idx: usize::try_from(get_u64(row, "first_idx")?).ok()?,
-            })
-        })
-        .collect()
+/// Reads an object's fields named in `names`, each at its first
+/// occurrence as `Json::get` finds it, and skips the rest. A slot stays
+/// `None` for a field the object lacks, and all do for a value that is
+/// not an object.
+fn read_fields<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    names: [&str; N],
+) -> Option<[Option<Scalar<'a>>; N]> {
+    let mut slots = std::array::from_fn(|_| None);
+    r.object(|r, name| {
+        match names.iter().position(|n| *n == name) {
+            Some(i) if slots[i].is_none() => slots[i] = Some(r.scalar()?),
+            _ => r.skip()?,
+        }
+        Some(())
+    })?;
+    Some(slots)
 }
 
-/// Renders a frequency shard's histogram export:
-/// `[{"key_hex":...,"count":N}, ...]`.
-pub fn counts_to_json(counts: &[([u8; BLOCK_BYTES], u32)]) -> Json {
-    Json::Arr(
-        counts
-            .iter()
-            .map(|(value, count)| {
-                Json::obj([
-                    ("key_hex", Json::Str(hex_lower(value))),
-                    ("count", Json::Int(i64::from(*count))),
-                ])
-            })
-            .collect(),
-    )
+/// A present non-negative integer of type `T`, as `get_u64` and a
+/// `try_from` read it from a tree.
+fn uint<T: TryFrom<u64>>(value: Option<Scalar<'_>>) -> Option<T> {
+    T::try_from(u64::try_from(value?.int()?).ok()?).ok()
 }
 
-/// Parses [`counts_to_json`]'s output.
-pub fn counts_from_json(value: &Json) -> Option<Vec<([u8; BLOCK_BYTES], u32)>> {
-    let Json::Arr(rows) = value else { return None };
-    rows.iter()
-        .map(|row| {
-            Some((
-                block_from_hex(get_str(row, "key_hex")?)?,
-                u32::try_from(get_u64(row, "count")?).ok()?,
-            ))
-        })
-        .collect()
+/// A present 64-byte block as lowercase or uppercase hex.
+fn block(value: Option<Scalar<'_>>) -> Option<[u8; BLOCK_BYTES]> {
+    block_from_hex(&value?.string()?)
 }
 
-fn hit_to_json(hit: &ScheduleHit) -> Json {
-    Json::obj([
-        ("block_addr", Json::Int(hit.block_addr as i64)),
-        (
+/// A mining shard's observation row:
+/// `{"key_hex":...,"count":N,"first_idx":N}`.
+fn write_observation(out: &mut String, observation: &MinedObservation) {
+    let mut row = ObjectWriter::new(out);
+    hex_field(&mut row, "key_hex", &observation.value);
+    row.int("count", i64::from(observation.count));
+    row.int("first_idx", observation.first_idx as i64);
+    row.end();
+}
+
+fn read_observation(r: &mut Reader<'_>) -> Option<Option<MinedObservation>> {
+    let [value, count, first_idx] = read_fields(r, ["key_hex", "count", "first_idx"])?;
+    let (Some(value), Some(count), Some(first_idx)) = (block(value), uint(count), uint(first_idx))
+    else {
+        return Some(None);
+    };
+    Some(Some(MinedObservation {
+        value,
+        count,
+        first_idx,
+    }))
+}
+
+/// A frequency shard's histogram row: `{"key_hex":...,"count":N}`.
+fn write_count(out: &mut String, (value, count): &([u8; BLOCK_BYTES], u32)) {
+    let mut row = ObjectWriter::new(out);
+    hex_field(&mut row, "key_hex", value);
+    row.int("count", i64::from(*count));
+    row.end();
+}
+
+fn read_count(r: &mut Reader<'_>) -> Option<Option<([u8; BLOCK_BYTES], u32)>> {
+    let [value, count] = read_fields(r, ["key_hex", "count"])?;
+    Some(block(value).zip(uint(count)))
+}
+
+/// A search shard's single-block hit row.
+fn write_hit(out: &mut String, hit: &ScheduleHit) {
+    let mut row = ObjectWriter::new(out);
+    row.int("block_addr", hit.block_addr as i64);
+    hex_field(&mut row, "scrambler_key_hex", &hit.scrambler_key);
+    row.int("key_bits", key_size_bits(hit.key_size));
+    row.int("window_offset", hit.window_offset as i64);
+    row.int("start_word", hit.start_word as i64);
+    row.int("prediction_distance", i64::from(hit.prediction_distance));
+    row.end();
+}
+
+fn read_hit(r: &mut Reader<'_>) -> Option<Option<ScheduleHit>> {
+    let [addr, key, bits, offset, start, distance] = read_fields(
+        r,
+        [
+            "block_addr",
             "scrambler_key_hex",
-            Json::Str(hex_lower(&hit.scrambler_key)),
-        ),
-        ("key_bits", Json::Int(key_size_bits(hit.key_size))),
-        ("window_offset", Json::Int(hit.window_offset as i64)),
-        ("start_word", Json::Int(hit.start_word as i64)),
-        (
+            "key_bits",
+            "window_offset",
+            "start_word",
             "prediction_distance",
-            Json::Int(i64::from(hit.prediction_distance)),
-        ),
-    ])
+        ],
+    )?;
+    let (Some(block_addr), Some(scrambler_key), Some(key_size)) = (
+        uint(addr),
+        block(key),
+        uint(bits).and_then(key_size_from_bits),
+    ) else {
+        return Some(None);
+    };
+    let (Some(window_offset), Some(start_word), Some(prediction_distance)) =
+        (uint(offset), uint(start), uint(distance))
+    else {
+        return Some(None);
+    };
+    Some(Some(ScheduleHit {
+        block_addr,
+        scrambler_key,
+        key_size,
+        window_offset,
+        start_word,
+        prediction_distance,
+    }))
 }
 
-fn hit_from_json(value: &Json) -> Option<ScheduleHit> {
-    Some(ScheduleHit {
-        block_addr: get_u64(value, "block_addr")?,
-        scrambler_key: block_from_hex(get_str(value, "scrambler_key_hex")?)?,
-        key_size: key_size_from_bits(get_u64(value, "key_bits")?)?,
-        window_offset: usize::try_from(get_u64(value, "window_offset")?).ok()?,
-        start_word: usize::try_from(get_u64(value, "start_word")?).ok()?,
-        prediction_distance: u32::try_from(get_u64(value, "prediction_distance")?).ok()?,
-    })
-}
-
-/// A recovered key's row: what the `attack` result lists, and what a
-/// search partial carries ahead of the raw `hit`.
-fn recovery_fields(rec: &RecoveredAesKey) -> Vec<(&'static str, Json)> {
-    let mut fields = vec![
-        ("key_bits", Json::Int((rec.master_key.len() * 8) as i64)),
-        ("master_hex", Json::Str(hex_lower(&rec.master_key))),
-        ("schedule_addr", Json::Int(rec.schedule_addr as i64)),
-        (
-            "total_error_bits",
-            Json::Int(i64::from(rec.total_error_bits)),
-        ),
-        (
-            "unexplained_blocks",
-            Json::Int(i64::from(rec.unexplained_blocks)),
-        ),
-    ];
+/// A recovered key's row: what the `attack` result lists, and, with the
+/// raw `hit` after it, what a search partial carries.
+fn write_recovery(out: &mut String, rec: &RecoveredAesKey, with_hit: bool) {
+    let mut row = ObjectWriter::new(out);
+    row.int("key_bits", (rec.master_key.len() * 8) as i64);
+    hex_field(&mut row, "master_hex", &rec.master_key);
+    row.int("schedule_addr", rec.schedule_addr as i64);
+    row.int("total_error_bits", i64::from(rec.total_error_bits));
+    row.int("unexplained_blocks", i64::from(rec.unexplained_blocks));
     // Channel-reconstruction fields travel only when the job ran with
     // reconstruction on: their absence is what keeps the off-mode shapes
     // byte-identical to the historical protocol.
     if let Some(cost) = rec.cost_millinats {
-        fields.push((
-            "cost_mnat",
-            Json::Int(i64::try_from(cost).unwrap_or(i64::MAX)),
-        ));
+        row.int("cost_mnat", i64::try_from(cost).unwrap_or(i64::MAX));
     }
     if let Some(flips) = rec.flips {
-        fields.push(("to_ground_bits", Json::Int(i64::from(flips.to_ground))));
-        fields.push(("anti_ground_bits", Json::Int(i64::from(flips.anti_ground))));
+        row.int("to_ground_bits", i64::from(flips.to_ground));
+        row.int("anti_ground_bits", i64::from(flips.anti_ground));
     }
-    fields
+    if with_hit {
+        write_hit(row.field("hit"), &rec.hit);
+    }
+    row.end();
 }
 
-fn recovery_to_json(rec: &RecoveredAesKey) -> Json {
-    let mut fields = recovery_fields(rec);
-    fields.push(("hit", hit_to_json(&rec.hit)));
-    Json::obj(fields)
-}
-
-fn recovery_from_json(value: &Json) -> Option<RecoveredAesKey> {
-    let master_key = hex_decode(get_str(value, "master_hex")?)?;
-    let flips = match (value.get("to_ground_bits"), value.get("anti_ground_bits")) {
-        (Some(_), Some(_)) => Some(FlipCounts {
-            to_ground: u32::try_from(get_u64(value, "to_ground_bits")?).ok()?,
-            anti_ground: u32::try_from(get_u64(value, "anti_ground_bits")?).ok()?,
-        }),
-        (None, None) => None,
+/// Reads a search partial's recovery row (the one with its `hit`).
+fn read_recovery(r: &mut Reader<'_>) -> Option<Option<RecoveredAesKey>> {
+    let [master, addr, total, unexplained, cost, to_ground, anti_ground, hit] = read_fields(
+        r,
+        [
+            "master_hex",
+            "schedule_addr",
+            "total_error_bits",
+            "unexplained_blocks",
+            "cost_mnat",
+            "to_ground_bits",
+            "anti_ground_bits",
+            "hit",
+        ],
+    )?;
+    let flips = match (to_ground.is_some(), anti_ground.is_some()) {
+        (false, false) => None,
         // Half a flip report is a corrupt frame, not an off-mode one.
-        _ => return None,
-    };
-    Some(RecoveredAesKey {
-        key_size: KeySize::from_key_len(master_key.len()).ok()?,
-        master_key,
-        schedule_addr: get_u64(value, "schedule_addr")?,
-        total_error_bits: u32::try_from(get_u64(value, "total_error_bits")?).ok()?,
-        unexplained_blocks: u32::try_from(get_u64(value, "unexplained_blocks")?).ok()?,
-        cost_millinats: match value.get("cost_mnat") {
-            Some(_) => Some(get_u64(value, "cost_mnat")?),
-            None => None,
+        (true, true) => match (uint(to_ground), uint(anti_ground)) {
+            (Some(to_ground), Some(anti_ground)) => Some(FlipCounts {
+                to_ground,
+                anti_ground,
+            }),
+            _ => return Some(None),
         },
+        _ => return Some(None),
+    };
+    // Absent is off-mode; present must be a count.
+    let cost_millinats = match cost {
+        None => None,
+        cost => match uint(cost) {
+            Some(cost) => Some(cost),
+            None => return Some(None),
+        },
+    };
+    // The hit was read through whole; it is a few hundred bytes.
+    let hit = match hit {
+        Some(Scalar::Nested(text)) => read_hit(&mut Reader::new(text)).flatten(),
+        _ => None,
+    };
+    let master_key = master.and_then(Scalar::string).and_then(|s| hex_decode(&s));
+    let (Some(master_key), Some(schedule_addr), Some(hit)) = (master_key, uint(addr), hit) else {
+        return Some(None);
+    };
+    let (Ok(key_size), Some(total_error_bits), Some(unexplained_blocks)) = (
+        KeySize::from_key_len(master_key.len()),
+        uint(total),
+        uint(unexplained),
+    ) else {
+        return Some(None);
+    };
+    Some(Some(RecoveredAesKey {
+        key_size,
+        master_key,
+        schedule_addr,
+        total_error_bits,
+        unexplained_blocks,
+        cost_millinats,
         flips,
-        hit: hit_from_json(value.get("hit")?)?,
-    })
+        hit,
+    }))
 }
 
-/// A search shard's mergeable partial: hits in block order, *pre-dedup*
-/// recoveries in verification order, and the shard's region-filtered
-/// scan count.
-fn search_partial_fields(partial: &SearchPartial) -> [(&'static str, Json); 3] {
-    [
-        (
-            "hits",
-            Json::Arr(partial.hits.iter().map(hit_to_json).collect()),
-        ),
-        (
-            "recoveries",
-            Json::Arr(partial.recoveries.iter().map(recovery_to_json).collect()),
-        ),
-        ("blocks_scanned", Json::Int(partial.blocks_scanned as i64)),
-    ]
-}
-
-/// Parses a search shard reply's partial. Sequence order is preserved
-/// exactly — the coordinator's dedup replay depends on it.
-pub fn search_partial_from_json(value: &Json) -> Option<SearchPartial> {
-    let Json::Arr(hit_rows) = value.get("hits")? else {
-        return None;
-    };
-    let Json::Arr(rec_rows) = value.get("recoveries")? else {
-        return None;
-    };
-    Some(SearchPartial {
-        hits: hit_rows.iter().map(hit_from_json).collect::<Option<_>>()?,
-        recoveries: rec_rows
-            .iter()
-            .map(recovery_from_json)
-            .collect::<Option<_>>()?,
-        blocks_scanned: usize::try_from(get_u64(value, "blocks_scanned")?).ok()?,
-    })
+/// Reads an array of `row`s; `Some(None)` when the value is not an array
+/// or any element is not a row of its shape.
+fn read_rows<'a, T>(
+    r: &mut Reader<'a>,
+    mut row: impl FnMut(&mut Reader<'a>) -> Option<Option<T>>,
+) -> Option<Option<Vec<T>>> {
+    let mut rows = Some(Vec::new());
+    let is_array = r.array(|r| {
+        match row(r)? {
+            Some(item) => {
+                if let Some(rows) = rows.as_mut() {
+                    rows.push(item);
+                }
+            }
+            // Keep reading: the rest of the line must still be JSON.
+            None => rows = None,
+        }
+        Some(())
+    })?;
+    Some(rows.filter(|_| is_array))
 }
 
 /// What a job computes.
@@ -404,6 +490,26 @@ impl JobSpec {
     }
 }
 
+/// Reads an optional field of a request with `read`: absent and `null`
+/// are `None`, and a value `read` refuses is a `bad_request` reply saying
+/// the field `must be` `what`.
+fn opt_field<'a, T>(
+    request: &'a Json,
+    name: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, Json> {
+    match request.get(name) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v).map(Some).ok_or_else(|| {
+            let mut message = String::from(name);
+            message.push_str(" must be ");
+            message.push_str(what);
+            error_response("bad_request", &message)
+        }),
+    }
+}
+
 /// Reads an optional non-negative integer field of a request; any other
 /// value is a `bad_request` reply.
 ///
@@ -411,20 +517,13 @@ impl JobSpec {
 ///
 /// The error reply naming the field.
 pub fn opt_u64(request: &Json, name: &str) -> Result<Option<u64>, Json> {
-    match request.get(name) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => match v.as_i64() {
-            Some(i) if i >= 0 => Ok(Some(i as u64)),
-            _ => {
-                let mut message = String::from(name);
-                message.push_str(" must be a non-negative integer");
-                Err(error_response("bad_request", &message))
-            }
-        },
-    }
+    opt_field(request, name, "a non-negative integer", |v| {
+        v.as_i64().and_then(|i| u64::try_from(i).ok())
+    })
 }
 
-/// Reads a `submit` request into a [`JobSpec`].
+/// Reads a `submit` request into a [`JobSpec`]. An optional field that is
+/// absent or `null` takes its default; one of the wrong type is refused.
 ///
 /// # Errors
 ///
@@ -499,23 +598,13 @@ pub fn parse_spec(request: &Json) -> Result<JobSpec, Json> {
             }
         },
     };
-    let ground = request
-        .get("ground")
-        .and_then(Json::as_str)
-        .map(String::from);
-    let decay_fraction = match request.get("decay_fraction") {
-        None | Some(Json::Null) => None,
-        Some(v) => match v.as_f64() {
-            Some(d) if d.is_finite() && (0.0..=1.0).contains(&d) => Some(d),
-            _ => {
-                return Err(error_response(
-                    "bad_request",
-                    "decay_fraction must be a number in [0, 1]",
-                ))
-            }
-        },
-    };
-    if ground.is_none() && (decay_fraction.is_some() || request.get("work_budget").is_some()) {
+    let ground = opt_field(request, "ground", "a path", Json::as_str)?.map(String::from);
+    let decay_fraction = opt_field(request, "decay_fraction", "a number in [0, 1]", |v| {
+        v.as_f64()
+            .filter(|d| d.is_finite() && (0.0..=1.0).contains(d))
+    })?;
+    let work_budget = opt_u64(request, "work_budget")?;
+    if ground.is_none() && (decay_fraction.is_some() || work_budget.is_some()) {
         return Err(error_response(
             "bad_request",
             "decay_fraction and work_budget require a ground dump",
@@ -533,14 +622,14 @@ pub fn parse_spec(request: &Json) -> Result<JobSpec, Json> {
         window_blocks,
         timeout_secs: opt_u64(request, "timeout_secs")?,
         threads: opt_u64(request, "threads")?.map_or(1, |t| (t as usize).max(1)),
-        deep: request.get("deep").and_then(Json::as_bool).unwrap_or(false),
+        deep: opt_field(request, "deep", "true or false", Json::as_bool)?.unwrap_or(false),
         max_bytes: opt_u64(request, "max_bytes")?,
         top_keys: opt_u64(request, "top_keys")?.map_or(48, |n| n as usize),
         shard,
         candidates,
         ground,
         decay_fraction,
-        work_budget: opt_u64(request, "work_budget")?,
+        work_budget,
     })
 }
 
@@ -554,29 +643,29 @@ pub fn keys_to_json(kind: JobKind, keys: &[CandidateKey]) -> Json {
     ])
 }
 
-/// The finished `attack` result: its counts, then one row per recovered
-/// key (a search partial's recovery row without the raw `hit`).
+/// The finished `attack` result, written compact: its counts, then one
+/// row per recovered key (a search partial's recovery row without the raw
+/// `hit`).
 #[must_use]
-pub fn attack_to_json(report: &AttackReport) -> Json {
+pub fn attack_result_line(report: &AttackReport) -> String {
     let outcome = &report.outcome;
-    let recovered = outcome
-        .recovered
-        .iter()
-        .map(|rec| Json::obj(recovery_fields(rec)))
-        .collect();
-    Json::obj([
-        ("kind", Json::Str(JobKind::Attack.name().to_string())),
-        ("mined_bytes", Json::Int(report.mined_bytes as i64)),
-        ("candidates", Json::Int(report.candidates.len() as i64)),
-        ("hits", Json::Int(outcome.hits.len() as i64)),
-        ("blocks_scanned", Json::Int(outcome.blocks_scanned as i64)),
-        ("recovered", Json::Arr(recovered)),
-    ])
+    let mut line = String::new();
+    let mut doc = ObjectWriter::new(&mut line);
+    doc.str("kind", JobKind::Attack.name());
+    doc.int("mined_bytes", report.mined_bytes as i64);
+    doc.int("candidates", report.candidates.len() as i64);
+    doc.int("hits", outcome.hits.len() as i64);
+    doc.int("blocks_scanned", outcome.blocks_scanned as i64);
+    doc.array("recovered", &outcome.recovered, |out, rec| {
+        write_recovery(out, rec, false);
+    });
+    doc.end();
+    line
 }
 
 /// A shard job's mergeable partial: what a worker returns for one block
 /// range, and the coordinator absorbs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardPartial {
     /// A `mine` shard's raw observation map.
     Mine(Vec<MinedObservation>),
@@ -586,72 +675,186 @@ pub enum ShardPartial {
     Search(SearchPartial),
 }
 
-/// Frames a shard's partial as the worker's result: its `kind`
-/// (`mine_shard`, `frequency_shard` or `search_shard`), the
-/// `shard_start`/`shard_end` echo, then the partial's own fields.
-#[must_use]
-pub fn shard_reply_to_json(shard: &Range<u64>, partial: &ShardPartial) -> Json {
-    let (kind, fields) = match partial {
-        ShardPartial::Mine(observations) => (
-            "mine_shard",
-            vec![("observations", observations_to_json(observations))],
-        ),
-        ShardPartial::Frequency(counts) => {
-            ("frequency_shard", vec![("counts", counts_to_json(counts))])
+impl ShardPartial {
+    /// The kind of shard job that returns this partial.
+    #[must_use]
+    pub fn kind(&self) -> JobKind {
+        match self {
+            ShardPartial::Mine(_) => JobKind::Mine,
+            ShardPartial::Frequency(_) => JobKind::Frequency,
+            ShardPartial::Search(_) => JobKind::SearchShard,
         }
-        ShardPartial::Search(partial) => ("search_shard", search_partial_fields(partial).into()),
-    };
-    let mut pairs = vec![
-        ("kind", Json::Str(kind.to_string())),
-        ("shard_start", Json::Int(shard.start as i64)),
-        ("shard_end", Json::Int(shard.end as i64)),
-    ];
-    pairs.extend(fields);
-    Json::obj(pairs)
+    }
 }
 
-/// Reads a worker's result for a `kind` shard job over `shard`.
-///
-/// # Errors
-///
-/// Names the first violation: an `attack` kind (it does not shard), a
-/// reply of another kind, a range echo other than `shard`, or a malformed
-/// partial.
-pub fn shard_reply_from_json(
-    body: &Json,
+/// The `kind` a `kind` shard job's reply names itself by; `None` for
+/// [`JobKind::Attack`], which does not shard.
+fn reply_kind(kind: JobKind) -> Option<&'static str> {
+    match kind {
+        JobKind::Mine => Some("mine_shard"),
+        JobKind::Frequency => Some("frequency_shard"),
+        JobKind::SearchShard => Some("search_shard"),
+        JobKind::Attack => None,
+    }
+}
+
+/// Writes a shard's partial as the worker's result, compact: its `kind`
+/// (`mine_shard`, `frequency_shard` or `search_shard`), the
+/// `shard_start`/`shard_end` echo, then the partial's rows.
+#[must_use]
+pub fn shard_reply_line(shard: &Range<u64>, partial: &ShardPartial) -> String {
+    let mut line = String::new();
+    let mut reply = ObjectWriter::new(&mut line);
+    reply.str("kind", reply_kind(partial.kind()).unwrap_or_default());
+    reply.int("shard_start", shard.start as i64);
+    reply.int("shard_end", shard.end as i64);
+    match partial {
+        ShardPartial::Mine(observations) => {
+            reply.array("observations", observations, write_observation);
+        }
+        ShardPartial::Frequency(counts) => reply.array("counts", counts, write_count),
+        ShardPartial::Search(partial) => {
+            reply.array("hits", &partial.hits, write_hit);
+            reply.array("recoveries", &partial.recoveries, |out, rec| {
+                write_recovery(out, rec, true);
+            });
+            reply.int("blocks_scanned", partial.blocks_scanned as i64);
+        }
+    }
+    reply.end();
+    line
+}
+
+/// A worker's `result` or `wait` reply to a shard job, as
+/// [`read_result_reply`] reads it. Each envelope field is what the tree
+/// accessor (`get` then `as_bool`/`as_str`) would give: `None` when it is
+/// absent or of another type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResultReply<'a> {
+    /// `ok`.
+    pub ok: Option<bool>,
+    /// The job's `state`.
+    pub state: Option<Cow<'a, str>>,
+    /// An error reply's `code`.
+    pub code: Option<Cow<'a, str>>,
+    /// An error reply's `retryable`.
+    pub retryable: Option<bool>,
+    /// An error reply's or failed job's `error`.
+    pub error: Option<Cow<'a, str>>,
+    /// `None` when `result` is absent or `null`; otherwise the shard's
+    /// partial, or why the result is not the expected one: another
+    /// reply kind, a range echo other than the shard's, or a malformed
+    /// partial.
+    pub result: Option<Result<ShardPartial, String>>,
+}
+
+/// Reads a worker's `result`/`wait` reply line to a `kind` shard job over
+/// `shard`, in one pass: the envelope's fields and, as it streams by, the
+/// partial, checked against the expected kind and range echo. `None` when
+/// the line is not one JSON document ([`crate::json::parse`] would
+/// refuse it).
+#[must_use]
+pub fn read_result_reply<'a>(
+    line: &'a str,
     kind: JobKind,
     shard: &Range<u64>,
-) -> Result<ShardPartial, String> {
-    let expected = match kind {
-        JobKind::Mine => "mine_shard",
-        JobKind::Frequency => "frequency_shard",
-        JobKind::SearchShard => "search_shard",
-        JobKind::Attack => return Err("attack jobs do not shard".to_string()),
+) -> Option<ResultReply<'a>> {
+    let mut r = Reader::new(line);
+    let (mut ok, mut state, mut code, mut retryable, mut error, mut result) =
+        (None, None, None, None, None, None);
+    r.object(|r, name| {
+        match &*name {
+            "ok" if ok.is_none() => ok = Some(r.scalar()?.boolean()),
+            "state" if state.is_none() => state = Some(r.scalar()?.string()),
+            "code" if code.is_none() => code = Some(r.scalar()?.string()),
+            "retryable" if retryable.is_none() => retryable = Some(r.scalar()?.boolean()),
+            "error" if error.is_none() => error = Some(r.scalar()?.string()),
+            "result" if result.is_none() => {
+                result = Some(if r.null()? {
+                    None
+                } else {
+                    Some(read_shard_result(r, kind, shard)?)
+                });
+            }
+            _ => r.skip()?,
+        }
+        Some(())
+    })?;
+    r.finish()?;
+    Some(ResultReply {
+        ok: ok.flatten(),
+        state: state.flatten(),
+        code: code.flatten(),
+        retryable: retryable.flatten(),
+        error: error.flatten(),
+        result: result.flatten(),
+    })
+}
+
+/// Reads a non-null `result`: `None` only for malformed JSON. The checks
+/// run in a fixed order whatever the field order: the reply's `kind`,
+/// then its range echo, then its partial.
+fn read_shard_result(
+    r: &mut Reader<'_>,
+    kind: JobKind,
+    shard: &Range<u64>,
+) -> Option<Result<ShardPartial, String>> {
+    let Some(expected) = reply_kind(kind) else {
+        r.skip()?;
+        return Some(Err("attack jobs do not shard".to_string()));
     };
-    let got = body.get("kind").and_then(Json::as_str).unwrap_or("");
+    let (mut got, mut start, mut end) = (None, None, None);
+    let (mut observations, mut counts) = (None, None);
+    let (mut hits, mut recoveries, mut scanned) = (None, None, None);
+    r.object(|r, name| {
+        match (&*name, kind) {
+            ("kind", _) if got.is_none() => got = Some(r.scalar()?.string()),
+            ("shard_start", _) if start.is_none() => start = Some(r.scalar()?.int()),
+            ("shard_end", _) if end.is_none() => end = Some(r.scalar()?.int()),
+            ("observations", JobKind::Mine) if observations.is_none() => {
+                observations = Some(read_rows(r, read_observation)?);
+            }
+            ("counts", JobKind::Frequency) if counts.is_none() => {
+                counts = Some(read_rows(r, read_count)?);
+            }
+            ("hits", JobKind::SearchShard) if hits.is_none() => {
+                hits = Some(read_rows(r, read_hit)?);
+            }
+            ("recoveries", JobKind::SearchShard) if recoveries.is_none() => {
+                recoveries = Some(read_rows(r, read_recovery)?);
+            }
+            ("blocks_scanned", JobKind::SearchShard) if scanned.is_none() => {
+                scanned = Some(uint(Some(r.scalar()?)));
+            }
+            _ => r.skip()?,
+        }
+        Some(())
+    })?;
+    let got = got.flatten();
+    let got = got.as_deref().unwrap_or("");
     if got != expected {
-        return Err(format!("expected {expected} reply, got {got:?}"));
+        return Some(Err(format!("expected {expected} reply, got {got:?}")));
     }
-    let echo = |field: &str| body.get(field).and_then(Json::as_i64);
-    if echo("shard_start") != Some(shard.start as i64)
-        || echo("shard_end") != Some(shard.end as i64)
-    {
-        return Err("shard range echo mismatch".to_string());
+    if start.flatten() != Some(shard.start as i64) || end.flatten() != Some(shard.end as i64) {
+        return Some(Err("shard range echo mismatch".to_string()));
     }
     let partial = match kind {
-        JobKind::Mine => body
-            .get("observations")
-            .and_then(observations_from_json)
-            .map(ShardPartial::Mine),
-        JobKind::Frequency => body
-            .get("counts")
-            .and_then(counts_from_json)
-            .map(ShardPartial::Frequency),
+        JobKind::Mine => observations.flatten().map(ShardPartial::Mine),
+        JobKind::Frequency => counts.flatten().map(ShardPartial::Frequency),
         JobKind::SearchShard | JobKind::Attack => {
-            search_partial_from_json(body).map(ShardPartial::Search)
+            match (hits.flatten(), recoveries.flatten(), scanned.flatten()) {
+                (Some(hits), Some(recoveries), Some(blocks_scanned)) => {
+                    Some(ShardPartial::Search(SearchPartial {
+                        hits,
+                        recoveries,
+                        blocks_scanned,
+                    }))
+                }
+                _ => None,
+            }
         }
     };
-    partial.ok_or_else(|| format!("malformed {} partial", kind.name()))
+    Some(partial.ok_or_else(|| format!("malformed {} partial", kind.name())))
 }
 
 /// Whether a request rejected with `code` can succeed verbatim later (or
@@ -744,7 +947,156 @@ pub fn result_reply(id: u64, state: &JobState) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+    use coldboot::keysearch::SearchOutcome;
     use coldboot_crypto::rng::SplitMix64;
+
+    /// The tree readers the shard rows had before they were decoded in
+    /// one pass, kept as the reference the line reader must agree with.
+    mod tree {
+        use super::super::*;
+
+        fn observations(value: &Json) -> Option<Vec<MinedObservation>> {
+            let Json::Arr(rows) = value else { return None };
+            rows.iter()
+                .map(|row| {
+                    Some(MinedObservation {
+                        value: block_from_hex(get_str(row, "key_hex")?)?,
+                        count: u32::try_from(get_u64(row, "count")?).ok()?,
+                        first_idx: usize::try_from(get_u64(row, "first_idx")?).ok()?,
+                    })
+                })
+                .collect()
+        }
+
+        fn counts(value: &Json) -> Option<Vec<([u8; BLOCK_BYTES], u32)>> {
+            let Json::Arr(rows) = value else { return None };
+            rows.iter()
+                .map(|row| {
+                    Some((
+                        block_from_hex(get_str(row, "key_hex")?)?,
+                        u32::try_from(get_u64(row, "count")?).ok()?,
+                    ))
+                })
+                .collect()
+        }
+
+        fn hit(value: &Json) -> Option<ScheduleHit> {
+            Some(ScheduleHit {
+                block_addr: get_u64(value, "block_addr")?,
+                scrambler_key: block_from_hex(get_str(value, "scrambler_key_hex")?)?,
+                key_size: key_size_from_bits(get_u64(value, "key_bits")?)?,
+                window_offset: usize::try_from(get_u64(value, "window_offset")?).ok()?,
+                start_word: usize::try_from(get_u64(value, "start_word")?).ok()?,
+                prediction_distance: u32::try_from(get_u64(value, "prediction_distance")?).ok()?,
+            })
+        }
+
+        fn recovery(value: &Json) -> Option<RecoveredAesKey> {
+            let master_key = hex_decode(get_str(value, "master_hex")?)?;
+            let flips = match (value.get("to_ground_bits"), value.get("anti_ground_bits")) {
+                (Some(_), Some(_)) => Some(FlipCounts {
+                    to_ground: u32::try_from(get_u64(value, "to_ground_bits")?).ok()?,
+                    anti_ground: u32::try_from(get_u64(value, "anti_ground_bits")?).ok()?,
+                }),
+                (None, None) => None,
+                _ => return None,
+            };
+            Some(RecoveredAesKey {
+                key_size: KeySize::from_key_len(master_key.len()).ok()?,
+                master_key,
+                schedule_addr: get_u64(value, "schedule_addr")?,
+                total_error_bits: u32::try_from(get_u64(value, "total_error_bits")?).ok()?,
+                unexplained_blocks: u32::try_from(get_u64(value, "unexplained_blocks")?).ok()?,
+                cost_millinats: match value.get("cost_mnat") {
+                    Some(_) => Some(get_u64(value, "cost_mnat")?),
+                    None => None,
+                },
+                flips,
+                hit: hit(value.get("hit")?)?,
+            })
+        }
+
+        fn search_partial(value: &Json) -> Option<SearchPartial> {
+            let Json::Arr(hit_rows) = value.get("hits")? else {
+                return None;
+            };
+            let Json::Arr(rec_rows) = value.get("recoveries")? else {
+                return None;
+            };
+            Some(SearchPartial {
+                hits: hit_rows.iter().map(hit).collect::<Option<_>>()?,
+                recoveries: rec_rows.iter().map(recovery).collect::<Option<_>>()?,
+                blocks_scanned: usize::try_from(get_u64(value, "blocks_scanned")?).ok()?,
+            })
+        }
+
+        fn shard_reply(
+            body: &Json,
+            kind: JobKind,
+            shard: &Range<u64>,
+        ) -> Result<ShardPartial, String> {
+            let expected = match kind {
+                JobKind::Mine => "mine_shard",
+                JobKind::Frequency => "frequency_shard",
+                JobKind::SearchShard => "search_shard",
+                JobKind::Attack => return Err("attack jobs do not shard".to_string()),
+            };
+            let got = body.get("kind").and_then(Json::as_str).unwrap_or("");
+            if got != expected {
+                return Err(format!("expected {expected} reply, got {got:?}"));
+            }
+            let echo = |field: &str| body.get(field).and_then(Json::as_i64);
+            if echo("shard_start") != Some(shard.start as i64)
+                || echo("shard_end") != Some(shard.end as i64)
+            {
+                return Err("shard range echo mismatch".to_string());
+            }
+            let partial = match kind {
+                JobKind::Mine => body
+                    .get("observations")
+                    .and_then(observations)
+                    .map(ShardPartial::Mine),
+                JobKind::Frequency => body
+                    .get("counts")
+                    .and_then(counts)
+                    .map(ShardPartial::Frequency),
+                JobKind::SearchShard | JobKind::Attack => {
+                    search_partial(body).map(ShardPartial::Search)
+                }
+            };
+            partial.ok_or_else(|| format!("malformed {} partial", kind.name()))
+        }
+
+        /// What the coordinator read from a `wait` reply line before:
+        /// `json::parse`, then the envelope's fields through `Json::get`
+        /// and the first non-null `result` through the tree readers.
+        pub fn result_reply(
+            line: &str,
+            kind: JobKind,
+            shard: &Range<u64>,
+        ) -> Option<ResultReply<'static>> {
+            let reply = crate::json::parse(line)?;
+            let text = |name| {
+                reply
+                    .get(name)
+                    .and_then(Json::as_str)
+                    .map(|s| Cow::Owned(s.to_string()))
+            };
+            let flag = |name| reply.get(name).and_then(Json::as_bool);
+            Some(ResultReply {
+                ok: flag("ok"),
+                state: text("state"),
+                code: text("code"),
+                retryable: flag("retryable"),
+                error: text("error"),
+                result: match reply.get("result") {
+                    None | Some(Json::Null) => None,
+                    Some(body) => Some(shard_reply(body, kind, shard)),
+                },
+            })
+        }
+    }
 
     #[test]
     fn hex_roundtrips() {
@@ -771,6 +1123,50 @@ mod tests {
         }
     }
 
+    /// One channel-mode recovery (cost and flips) and one off-mode one.
+    fn sample_recoveries() -> Vec<RecoveredAesKey> {
+        vec![
+            RecoveredAesKey {
+                key_size: KeySize::Aes256,
+                master_key: (0..32u8).collect(),
+                schedule_addr: 0x9000,
+                total_error_bits: 17,
+                unexplained_blocks: 1,
+                cost_millinats: Some(123_456),
+                flips: Some(FlipCounts {
+                    to_ground: 17,
+                    anti_ground: 0,
+                }),
+                hit: sample_hit(2),
+            },
+            RecoveredAesKey {
+                key_size: KeySize::Aes128,
+                master_key: (0..16u8).collect(),
+                schedule_addr: 0xA000,
+                total_error_bits: 0,
+                unexplained_blocks: 0,
+                cost_millinats: None,
+                flips: None,
+                hit: sample_hit(3),
+            },
+        ]
+    }
+
+    /// The worker's `wait` reply for a done shard job with this result.
+    fn done_line(result: String) -> String {
+        result_reply(7, &JobState::Done(result.into())).render_compact()
+    }
+
+    /// Writes `partial` for `shard` into a done `wait` reply and reads it
+    /// back as the coordinator does.
+    fn roundtrip(shard: &Range<u64>, partial: &ShardPartial) -> Result<ShardPartial, String> {
+        let line = done_line(shard_reply_line(shard, partial));
+        let reply = read_result_reply(&line, partial.kind(), shard).expect("well-formed line");
+        assert_eq!(reply.ok, Some(true));
+        assert_eq!(reply.state.as_deref(), Some("done"));
+        reply.result.expect("a result body")
+    }
+
     #[test]
     fn shard_partial_shapes_roundtrip() {
         let candidates = vec![
@@ -788,7 +1184,7 @@ mod tests {
             Some(&candidates[..])
         );
 
-        let observations = vec![
+        let observations = ShardPartial::Mine(vec![
             MinedObservation {
                 value: [7; BLOCK_BYTES],
                 count: 3,
@@ -799,83 +1195,134 @@ mod tests {
                 count: 1,
                 first_idx: 0,
             },
-        ];
-        assert_eq!(
-            observations_from_json(&observations_to_json(&observations)).as_deref(),
-            Some(&observations[..])
-        );
+        ]);
+        assert_eq!(roundtrip(&(0..64), &observations), Ok(observations));
 
-        let counts = vec![([1u8; BLOCK_BYTES], 5u32), ([2; BLOCK_BYTES], 1)];
-        assert_eq!(
-            counts_from_json(&counts_to_json(&counts)).as_deref(),
-            Some(&counts[..])
-        );
+        let counts =
+            ShardPartial::Frequency(vec![([1u8; BLOCK_BYTES], 5u32), ([2; BLOCK_BYTES], 1)]);
+        assert_eq!(roundtrip(&(0..64), &counts), Ok(counts));
 
-        let partial = SearchPartial {
+        let partial = ShardPartial::Search(SearchPartial {
             hits: vec![sample_hit(2), sample_hit(3)],
-            recoveries: vec![
-                RecoveredAesKey {
-                    key_size: KeySize::Aes256,
-                    master_key: (0..32u8).collect(),
-                    schedule_addr: 0x9000,
-                    total_error_bits: 17,
-                    unexplained_blocks: 1,
-                    cost_millinats: Some(123_456),
-                    flips: Some(FlipCounts {
-                        to_ground: 17,
-                        anti_ground: 0,
-                    }),
-                    hit: sample_hit(2),
-                },
-                RecoveredAesKey {
-                    key_size: KeySize::Aes128,
-                    master_key: (0..16u8).collect(),
-                    schedule_addr: 0xA000,
-                    total_error_bits: 0,
-                    unexplained_blocks: 0,
-                    cost_millinats: None,
-                    flips: None,
-                    hit: sample_hit(3),
-                },
-            ],
+            recoveries: sample_recoveries(),
             blocks_scanned: 4096,
-        };
-        let reply = shard_reply_to_json(&(0..64), &ShardPartial::Search(partial.clone()));
-        let parsed = search_partial_from_json(&reply).expect("roundtrip parses");
-        assert_eq!(parsed.hits, partial.hits);
-        assert_eq!(parsed.recoveries, partial.recoveries);
-        assert_eq!(parsed.blocks_scanned, partial.blocks_scanned);
+        });
+        assert_eq!(roundtrip(&(0..64), &partial), Ok(partial.clone()));
 
         // Off-mode recoveries keep the historical wire shape: no channel
         // keys appear at all, so pre-reconstruction parsers still work.
-        let off = recovery_to_json(&partial.recoveries[1]);
+        let line = shard_reply_line(&(0..64), &partial);
+        let tree = json::parse(&line).expect("the line is JSON");
+        let rows = tree.get("recoveries").and_then(Json::as_arr).expect("rows");
+        let off = &rows[1];
         assert!(off.get("cost_mnat").is_none());
         assert!(off.get("to_ground_bits").is_none());
         assert!(off.get("anti_ground_bits").is_none());
-        let on = recovery_to_json(&partial.recoveries[0]);
-        assert_eq!(on.get("cost_mnat").and_then(Json::as_i64), Some(123_456));
+        assert_eq!(
+            rows[0].get("cost_mnat").and_then(Json::as_i64),
+            Some(123_456)
+        );
+    }
+
+    /// Each line writer gives the parent tree writers' exact bytes.
+    #[test]
+    fn written_lines_match_the_tree_renderings_byte_for_byte() {
+        let a = "0a".repeat(BLOCK_BYTES);
+        let mine = ShardPartial::Mine(vec![
+            MinedObservation {
+                value: [0x0A; BLOCK_BYTES],
+                count: 3,
+                first_idx: 42,
+            },
+            MinedObservation {
+                value: [0xFF; BLOCK_BYTES],
+                count: u32::MAX,
+                first_idx: 0,
+            },
+        ]);
+        let ff = "ff".repeat(BLOCK_BYTES);
+        assert_eq!(
+            shard_reply_line(&(8..16), &mine),
+            format!(
+                r#"{{"kind":"mine_shard","shard_start":8,"shard_end":16,"observations":[{{"key_hex":"{a}","count":3,"first_idx":42}},{{"key_hex":"{ff}","count":4294967295,"first_idx":0}}]}}"#
+            )
+        );
+        let frequency = ShardPartial::Frequency(vec![([0x0A; BLOCK_BYTES], 5)]);
+        assert_eq!(
+            shard_reply_line(&(0..0), &frequency),
+            format!(
+                r#"{{"kind":"frequency_shard","shard_start":0,"shard_end":0,"counts":[{{"key_hex":"{a}","count":5}}]}}"#
+            )
+        );
+        assert_eq!(
+            shard_reply_line(&(3..4), &ShardPartial::Frequency(Vec::new())),
+            r#"{"kind":"frequency_shard","shard_start":3,"shard_end":4,"counts":[]}"#
+        );
+        let search = ShardPartial::Search(SearchPartial {
+            hits: vec![sample_hit(2)],
+            recoveries: sample_recoveries(),
+            blocks_scanned: 4096,
+        });
+        let key2 = hex_lower(&sample_hit(2).scrambler_key);
+        let key3 = hex_lower(&sample_hit(3).scrambler_key);
+        let hit2 = format!(
+            r#"{{"block_addr":32896,"scrambler_key_hex":"{key2}","key_bits":256,"window_offset":2,"start_word":2,"prediction_distance":2}}"#
+        );
+        let hit3 = format!(
+            r#"{{"block_addr":32960,"scrambler_key_hex":"{key3}","key_bits":128,"window_offset":3,"start_word":3,"prediction_distance":3}}"#
+        );
+        let m256 = hex_lower(&(0..32u8).collect::<Vec<_>>());
+        let m128 = hex_lower(&(0..16u8).collect::<Vec<_>>());
+        let row_on = format!(
+            r#"{{"key_bits":256,"master_hex":"{m256}","schedule_addr":36864,"total_error_bits":17,"unexplained_blocks":1,"cost_mnat":123456,"to_ground_bits":17,"anti_ground_bits":0"#
+        );
+        let row_off = format!(
+            r#"{{"key_bits":128,"master_hex":"{m128}","schedule_addr":40960,"total_error_bits":0,"unexplained_blocks":0"#
+        );
+        assert_eq!(
+            shard_reply_line(&(0..64), &search),
+            format!(
+                r#"{{"kind":"search_shard","shard_start":0,"shard_end":64,"hits":[{hit2}],"recoveries":[{row_on},"hit":{hit2}}},{row_off},"hit":{hit3}}}],"blocks_scanned":4096}}"#
+            )
+        );
+        let report = AttackReport {
+            candidates: vec![
+                CandidateKey {
+                    key: [0; BLOCK_BYTES],
+                    observations: 1,
+                };
+                3
+            ],
+            outcome: SearchOutcome {
+                hits: vec![sample_hit(2); 5],
+                recovered: sample_recoveries(),
+                blocks_scanned: 4096,
+            },
+            mined_bytes: 640,
+        };
+        assert_eq!(
+            attack_result_line(&report),
+            format!(
+                r#"{{"kind":"attack","mined_bytes":640,"candidates":3,"hits":5,"blocks_scanned":4096,"recovered":[{row_on}}},{row_off}}}]}}"#
+            )
+        );
     }
 
     #[test]
     fn recovery_rejects_half_a_flip_report() {
-        let rec = RecoveredAesKey {
-            key_size: KeySize::Aes256,
-            master_key: (0..32u8).collect(),
-            schedule_addr: 0x9000,
-            total_error_bits: 1,
-            unexplained_blocks: 0,
-            cost_millinats: Some(7),
-            flips: Some(FlipCounts {
-                to_ground: 1,
-                anti_ground: 0,
-            }),
-            hit: sample_hit(2),
-        };
-        let Json::Obj(mut fields) = recovery_to_json(&rec) else {
-            panic!("recovery renders an object")
-        };
-        fields.retain(|(k, _)| k != "anti_ground_bits");
-        assert!(recovery_from_json(&Json::Obj(fields)).is_none());
+        let partial = ShardPartial::Search(SearchPartial {
+            hits: Vec::new(),
+            recoveries: sample_recoveries()[..1].to_vec(),
+            blocks_scanned: 1,
+        });
+        let line = done_line(shard_reply_line(&(0..1), &partial));
+        let half = line.replace(r#","anti_ground_bits":0"#, "");
+        assert_ne!(half, line);
+        let reply = read_result_reply(&half, JobKind::SearchShard, &(0..1)).expect("JSON");
+        assert_eq!(
+            reply.result,
+            Some(Err("malformed search_shard partial".to_string()))
+        );
     }
 
     #[test]
@@ -889,12 +1336,197 @@ mod tests {
             candidates_from_json(&short_key).is_none(),
             "key must be 64 bytes"
         );
-        let negative = Json::Arr(vec![Json::obj([
-            ("key_hex", Json::Str(hex_lower(&[0u8; BLOCK_BYTES]))),
-            ("count", Json::Int(-1)),
-        ])]);
-        assert!(counts_from_json(&negative).is_none());
-        assert!(search_partial_from_json(&Json::obj([("hits", Json::Null)])).is_none());
+        let zero = hex_lower(&[0u8; BLOCK_BYTES]);
+        let negative = format!(
+            r#"{{"ok":true,"state":"done","result":{{"kind":"frequency_shard","shard_start":0,"shard_end":1,"counts":[{{"key_hex":"{zero}","count":-1}}]}}}}"#
+        );
+        let reply = read_result_reply(&negative, JobKind::Frequency, &(0..1)).expect("JSON");
+        assert!(matches!(reply.result, Some(Err(_))));
+        let no_hits = r#"{"ok":true,"state":"done","result":{"kind":"search_shard","shard_start":0,"shard_end":1,"hits":null}}"#;
+        let reply = read_result_reply(no_hits, JobKind::SearchShard, &(0..1)).expect("JSON");
+        assert!(matches!(reply.result, Some(Err(_))));
+    }
+
+    fn random_partial(rng: &mut SplitMix64, kind: JobKind) -> ShardPartial {
+        let rows = rng.range(0..4);
+        match kind {
+            JobKind::Mine => ShardPartial::Mine(
+                (0..rows)
+                    .map(|_| MinedObservation {
+                        value: rng.bytes(),
+                        count: rng.range(1..1 << 32) as u32,
+                        first_idx: rng.range(0..1 << 40) as usize,
+                    })
+                    .collect(),
+            ),
+            JobKind::Frequency => ShardPartial::Frequency(
+                (0..rows)
+                    .map(|_| (rng.bytes(), rng.range(1..1 << 32) as u32))
+                    .collect(),
+            ),
+            JobKind::SearchShard | JobKind::Attack => ShardPartial::Search(SearchPartial {
+                hits: (0..rows)
+                    .map(|_| sample_hit(rng.next_u64() as u8))
+                    .collect(),
+                recoveries: (0..rng.range(0..3))
+                    .map(|_| {
+                        let mut rec = sample_recoveries()[rng.range(0..2) as usize].clone();
+                        rec.schedule_addr = rng.range(0..1 << 40);
+                        rec.hit = sample_hit(rng.next_u64() as u8);
+                        rec
+                    })
+                    .collect(),
+                blocks_scanned: rng.range(0..1 << 30) as usize,
+            }),
+        }
+    }
+
+    /// A value of any type, for replacing or adding a field.
+    fn random_value(rng: &mut SplitMix64) -> Json {
+        let hex = hex_lower(&rng.bytes::<BLOCK_BYTES>());
+        match rng.range(0..14) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => Json::Int(-1),
+            3 => Json::Int(i64::from(u32::MAX) + 1),
+            4 => Json::Int(i64::MAX),
+            5 => Json::Int(rng.range(0..64) as i64),
+            6 => Json::Num(1.5),
+            7 => Json::Str(hex[1..].to_string()), // odd length
+            8 => Json::Str(hex.replacen(|c: char| c.is_ascii_hexdigit(), "g", 1)),
+            9 => Json::Str(hex.to_uppercase()),
+            10 => Json::Str(hex),
+            11 => Json::Arr(vec![Json::Int(1), Json::Obj(Vec::new())]),
+            12 => Json::Str("mine_shard\n\"\\\u{e9}".to_string()),
+            _ => Json::Obj(vec![("kind".to_string(), Json::Null)]),
+        }
+    }
+
+    /// Shuffles fields, adds unknown and duplicate keys, and replaces
+    /// values, at any depth.
+    fn mutate_tree(rng: &mut SplitMix64, value: &mut Json) {
+        match value {
+            Json::Obj(pairs) => {
+                for pair in pairs.iter_mut() {
+                    mutate_tree(rng, &mut pair.1);
+                }
+                if rng.gen_bool(0.2) && !pairs.is_empty() {
+                    let at = rng.range(0..pairs.len() as u64) as usize;
+                    let name = pairs[at].0.clone();
+                    let dup = (name, random_value(rng));
+                    let to = rng.range(0..pairs.len() as u64 + 1) as usize;
+                    pairs.insert(to, dup);
+                }
+                if rng.gen_bool(0.1) {
+                    let to = rng.range(0..pairs.len() as u64 + 1) as usize;
+                    pairs.insert(to, ("extra".to_string(), random_value(rng)));
+                }
+                if rng.gen_bool(0.2) {
+                    for i in (1..pairs.len()).rev() {
+                        pairs.swap(i, rng.range(0..i as u64 + 1) as usize);
+                    }
+                }
+            }
+            Json::Arr(items) => items.iter_mut().for_each(|item| mutate_tree(rng, item)),
+            _ if rng.gen_bool(0.03) => *value = random_value(rng),
+            _ => {}
+        }
+    }
+
+    /// Whitespace anywhere JSON allows it.
+    fn spread_whitespace(rng: &mut SplitMix64, line: &str) -> String {
+        let mut out = String::new();
+        let mut in_string = false;
+        let mut escaped = false;
+        for c in line.chars() {
+            out.push(c);
+            if in_string {
+                (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            } else if c == '"' {
+                in_string = true;
+            } else if matches!(c, ',' | ':' | '[' | '{') && rng.gen_bool(0.3) {
+                out.push_str([" ", "\n", "\t ", "\r\n"][rng.range(0..4) as usize]);
+            }
+        }
+        out
+    }
+
+    fn check_same(line: &str, kind: JobKind, shard: &Range<u64>, what: &str) {
+        let reference = tree::result_reply(line, kind, shard);
+        assert_eq!(
+            read_result_reply(line, kind, shard),
+            reference,
+            "{what}: {line}"
+        );
+    }
+
+    /// Hostile `wait` replies: the one-pass reader never panics and reads
+    /// every line exactly as `json::parse` plus the tree readers do.
+    #[test]
+    fn hostile_replies_read_as_the_tree_reference_reads_them() {
+        let kinds = [JobKind::Mine, JobKind::Frequency, JobKind::SearchShard];
+        // Every prefix of a small reply of each kind.
+        for kind in kinds {
+            let mut rng = SplitMix64::new(kind as u64);
+            let line = done_line(shard_reply_line(&(0..9), &random_partial(&mut rng, kind)));
+            for end in 0..line.len() {
+                check_same(&line[..end], kind, &(0..9), "prefix");
+            }
+        }
+        for case in 0..3000u64 {
+            let mut rng = SplitMix64::new(case);
+            let kind = kinds[(case % 3) as usize];
+            let shard = rng.range(0..1 << 20)..rng.range(1 << 20..1 << 21);
+            let partial = random_partial(&mut rng, kind);
+            let mut line = match rng.range(0..8) {
+                0 => format!(r#"{{"ok":true,"id":1,"state":"running","result":null}}"#),
+                1 => error_response("queue_full", "queue full").render_compact(),
+                _ => done_line(shard_reply_line(&shard, &partial)),
+            };
+            if rng.gen_bool(0.5) {
+                let mut tree = json::parse(&line).expect("written lines are JSON");
+                mutate_tree(&mut rng, &mut tree);
+                line = tree.render_compact();
+            }
+            if rng.gen_bool(0.3) {
+                line = spread_whitespace(&mut rng, &line);
+            }
+            // Integers past i64 (a JSON number `parse` reads as a float).
+            if rng.gen_bool(0.1) {
+                line = line.replacen(":1", ":18446744073709551616", 1);
+            }
+            // Nesting around the depth limit, inside an unknown field.
+            if rng.gen_bool(0.05) {
+                let depth = rng.range(58..70) as usize;
+                let nest = "[".repeat(depth) + &"]".repeat(depth);
+                line = line.replacen("{", &format!(r#"{{"extra":{nest},"#), 1 + case as usize % 3);
+            }
+            for _ in 0..rng.range(0..3) {
+                let mut bytes = line.clone().into_bytes();
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = rng.range(0..bytes.len() as u64) as usize;
+                // Flip only ASCII bytes, and keep them ASCII: a reply line
+                // is UTF-8 before it is JSON.
+                if bytes[at].is_ascii() {
+                    bytes[at] ^= 1 << rng.range(0..7);
+                }
+                line = String::from_utf8(bytes).expect("ASCII flips keep UTF-8");
+            }
+            // The expected shard or kind is sometimes not the line's own.
+            let expect_kind = if rng.gen_bool(0.05) {
+                kinds[rng.range(0..3) as usize]
+            } else {
+                kind
+            };
+            let expect_shard = if rng.gen_bool(0.05) {
+                shard.start..shard.end + 1
+            } else {
+                shard
+            };
+            check_same(&line, expect_kind, &expect_shard, &format!("case {case}"));
+        }
     }
 
     /// A valid spec of `kind` with each optional field set or left out at

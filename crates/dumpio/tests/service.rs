@@ -95,13 +95,18 @@ impl Client {
         }
     }
 
-    fn raw(&mut self, line: &str) -> Json {
+    /// Sends one request line; returns the reply line.
+    fn line(&mut self, line: &str) -> String {
         let mut out = line.to_string();
         out.push('\n');
         self.writer.write_all(out.as_bytes()).expect("send");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("receive");
-        json::parse(response.trim()).expect("well-formed response")
+        response
+    }
+
+    fn raw(&mut self, line: &str) -> Json {
+        json::parse(self.line(line).trim()).expect("well-formed response")
     }
 
     fn request(&mut self, doc: &Json) -> Json {
@@ -677,7 +682,7 @@ fn shard_jobs_merge_to_the_single_node_result() {
     use coldboot::keysearch::merge_search_partials;
     use coldboot::litmus::KeyMiner;
     use coldboot_dumpio::pipeline::plan_shards;
-    use coldboot_dumpio::wire;
+    use coldboot_dumpio::wire::{self, JobKind, ShardPartial};
 
     let (path, dump) = dump_file("svc_shard.cbdf", 147);
     let service = start_service(ServiceConfig {
@@ -695,31 +700,37 @@ fn shard_jobs_merge_to_the_single_node_result() {
     let total_blocks = (dump.len() / 64) as u64;
     let mined_blocks = (expected.mined_bytes / 64) as u64;
 
-    let run_shard =
-        |client: &mut Client, mut pairs: Vec<(&str, Json)>, range: &std::ops::Range<u64>| {
-            pairs.push(("dump", Json::Str(dump_arg.clone())));
-            pairs.push(("shard_start", Json::Int(range.start as i64)));
-            pairs.push(("shard_end", Json::Int(range.end as i64)));
-            let id = client.submit(pairs);
-            assert_eq!(client.wait_terminal(id), "done", "shard job {id}");
-            client
-                .result(id)
-                .get("result")
-                .expect("result body")
-                .clone()
-        };
+    // A shard job's `result` reply, as a client's tree and as the
+    // coordinator's one-pass read of the same line.
+    let run_shard = |client: &mut Client,
+                     kind: JobKind,
+                     mut pairs: Vec<(&str, Json)>,
+                     range: &std::ops::Range<u64>| {
+        pairs.push(("kind", Json::Str(kind.name().into())));
+        pairs.push(("dump", Json::Str(dump_arg.clone())));
+        pairs.push(("shard_start", Json::Int(range.start as i64)));
+        pairs.push(("shard_end", Json::Int(range.end as i64)));
+        let id = client.submit(pairs);
+        assert_eq!(client.wait_terminal(id), "done", "shard job {id}");
+        let line = client.line(&Json::obj_id("result", id).render_compact());
+        let body = json::parse(line.trim())
+            .and_then(|reply| reply.get("result").cloned())
+            .expect("result body");
+        let partial = wire::read_result_reply(line.trim(), kind, range)
+            .and_then(|reply| reply.result)
+            .expect("a result body")
+            .expect("a partial of the shard's kind and range");
+        (body, partial)
+    };
 
     // Phase 1: mine the prefix in three shards; absorb and finish once.
     let mut miner = KeyMiner::new(&config.mining);
     for range in plan_shards(mined_blocks, 3) {
-        let body = run_shard(
-            &mut client,
-            vec![("kind", Json::Str("mine".into()))],
-            &range,
-        );
+        let (body, partial) = run_shard(&mut client, JobKind::Mine, Vec::new(), &range);
         assert_eq!(body.get("kind").and_then(Json::as_str), Some("mine_shard"));
-        let observations = wire::observations_from_json(body.get("observations").expect("rows"))
-            .expect("parse observations");
+        let ShardPartial::Mine(observations) = partial else {
+            panic!("parse observations")
+        };
         miner.absorb_observations(observations);
     }
     let candidates = miner.finish();
@@ -730,19 +741,20 @@ fn shard_jobs_merge_to_the_single_node_result() {
     let candidates_json = wire::candidates_to_json(&candidates);
     let mut partials = Vec::new();
     for range in plan_shards(total_blocks, 3) {
-        let body = run_shard(
+        let (body, partial) = run_shard(
             &mut client,
-            vec![
-                ("kind", Json::Str("search_shard".into())),
-                ("candidates", candidates_json.clone()),
-            ],
+            JobKind::SearchShard,
+            vec![("candidates", candidates_json.clone())],
             &range,
         );
         assert_eq!(
             body.get("kind").and_then(Json::as_str),
             Some("search_shard")
         );
-        partials.push(wire::search_partial_from_json(&body).expect("parse partial"));
+        let ShardPartial::Search(partial) = partial else {
+            panic!("parse partial")
+        };
+        partials.push(partial);
     }
     let outcome = merge_search_partials(partials);
     assert_eq!(outcome.hits, expected.outcome.hits, "merged hits diverged");
@@ -755,17 +767,14 @@ fn shard_jobs_merge_to_the_single_node_result() {
     // Frequency histograms sum across shards.
     let mut freq = FrequencyCounter::new();
     for range in plan_shards(total_blocks, 3) {
-        let body = run_shard(
-            &mut client,
-            vec![("kind", Json::Str("frequency".into()))],
-            &range,
-        );
+        let (body, partial) = run_shard(&mut client, JobKind::Frequency, Vec::new(), &range);
         assert_eq!(
             body.get("kind").and_then(Json::as_str),
             Some("frequency_shard")
         );
-        let counts =
-            wire::counts_from_json(body.get("counts").expect("rows")).expect("parse counts");
+        let ShardPartial::Frequency(counts) = partial else {
+            panic!("parse counts")
+        };
         freq.absorb_counts(counts);
     }
     assert_eq!(

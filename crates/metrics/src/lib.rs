@@ -105,13 +105,29 @@ impl Gauge {
     }
 }
 
-/// Default latency bucket bounds, in microseconds: powers of four from
-/// 1 µs to ~67 s. Fourteen buckets plus overflow cover everything from a
-/// single litmus batch to a whole-dump pass without tuning.
-pub const LATENCY_US_BOUNDS: [u64; 14] = [
-    1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304, 16_777_216,
-    67_108_864,
-];
+/// Default latency bucket bounds, in microseconds: log-linear from 1 µs
+/// to 2^26 µs (~67 s), each power of two 2^k followed by 1.5 · 2^k. From
+/// 2 µs up a bucket is at most half its lower bound wide, so a percentile
+/// read off the buckets is within a third of the truth. 52 bounds plus
+/// overflow cover everything from a single litmus batch to a whole-dump
+/// pass without tuning.
+pub const LATENCY_US_BOUNDS: [u64; 52] = latency_us_bounds();
+
+const fn latency_us_bounds() -> [u64; 52] {
+    let mut bounds = [1u64; 52];
+    let mut i = 1usize;
+    while i < 51 {
+        let octave = 1u64 << i.div_ceil(2);
+        bounds[i] = if i % 2 == 1 {
+            octave
+        } else {
+            octave + octave / 2
+        };
+        i += 1;
+    }
+    bounds[51] = 1 << 26;
+    bounds
+}
 
 /// A fixed-bucket histogram: cumulative-free per-bucket counts plus a
 /// total count and sum, all atomics.
@@ -419,6 +435,19 @@ mod tests {
     }
 
     #[test]
+    fn latency_buckets_are_log_linear() {
+        assert_eq!(LATENCY_US_BOUNDS[..8], [1, 2, 3, 4, 6, 8, 12, 16]);
+        assert_eq!(LATENCY_US_BOUNDS[51], 67_108_864);
+        for pair in LATENCY_US_BOUNDS.windows(2) {
+            let (lower, upper) = (pair[0], pair[1]);
+            assert!(upper > lower, "{pair:?}");
+            if lower >= 2 {
+                assert!(upper - lower <= lower / 2, "{pair:?} is too wide");
+            }
+        }
+    }
+
+    #[test]
     fn span_records_into_histogram_only_when_attached() {
         let h = Histogram::latency_us();
         {
@@ -469,7 +498,7 @@ mod tests {
                 buckets,
             } => {
                 assert_eq!((*count, *sum), (1, 100));
-                assert_eq!(buckets.len(), LATENCY_US_BOUNDS.len() + 1);
+                assert_eq!(buckets.len(), 53, "52 bounds plus overflow");
             }
             other => panic!("expected histogram, got {other:?}"),
         }

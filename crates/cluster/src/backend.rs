@@ -666,6 +666,7 @@ fn deliver(shared: &Arc<Shared>, task: &Task, partial: ShardPartial) {
             drop(forgotten);
         }
         Err(why) => {
+            // lint:allow(secret-taint): a merge error names only shard ranges and phase kinds; the taint is the finished key list that `accept`'s `Ok` carries in the same `Result`
             let failed = JobState::Failed(format!("merge: {why}"));
             let forgotten = finish_job(&mut state, metrics, task.job, failed);
             drop(state);

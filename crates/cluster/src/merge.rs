@@ -182,8 +182,7 @@ impl Assembly {
         }
         if partial.kind() != kind {
             return Err(format!(
-                "a {} partial in the {} phase",
-                partial.kind().name(),
+                "a partial of another kind in the {} phase",
                 kind.name()
             ));
         }
